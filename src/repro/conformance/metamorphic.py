@@ -18,7 +18,8 @@ corpus cannot (the corpus pins bytes; these pin behavior):
   (quant codes are scale-free under a value-range-relative bound);
 * **serial/parallel identity** -- a ``jobs=N`` engine produces the same
   container bytes as the serial path;
-* **decoder agreement** -- the two-level LUT decoder, the lockstep
+* **decoder agreement** -- the two-level LUT decoder and each of its two
+  regimes (cross-chunk lockstep and pointer jumping), the lockstep
   ``searchsorted`` decoder, and the bit-by-bit sequential reference decode
   every Huffman stream of an archive to byte-identical symbols;
 * **decode serial/parallel identity** -- ``decompress(jobs=N)`` over a
@@ -216,24 +217,34 @@ def check_serial_parallel_identity(
 def check_decoder_agreement(
     field: np.ndarray, config: CompressorConfig, container: str = "single"
 ) -> None:
-    """The LUT, lockstep, and sequential Huffman decoders agree exactly.
+    """Every Huffman decoder, and each LUT decode regime, agrees exactly.
 
     Encodes the field's quant-code stream -- the very symbols the archive
     carries under ``config`` -- through both payload layouts (dense v1/v2
-    and byte-aligned v3 with sync points) and decodes each with all three
-    decoders.  All six reconstructions must be byte-identical to the
-    symbols that went in; any divergence means one decoder misreads a
-    bitstream the others accept.
+    and byte-aligned v3 with sync points) and decodes each with the LUT
+    decoder, each of its regimes called directly, the table-free lockstep
+    decoder and the sequential reference.  Every reconstruction must be
+    byte-identical to the symbols that went in; any divergence means one
+    decoder misreads a bitstream the others accept.
     """
     from ..core.dual_quant import quantize_field
     from ..engine.cache import cached_codebook, cached_histogram
     from ..encoding.huffman_codec import (
         decode,
         decode_lockstep,
+        decode_lut_jump,
+        decode_lut_lockstep,
         decode_sequential,
         encode,
     )
 
+    decoders = {
+        "sequential": decode_sequential,
+        "LUT": decode,
+        "LUT lockstep-regime": decode_lut_lockstep,
+        "LUT jump-regime": decode_lut_jump,
+        "lockstep": decode_lockstep,
+    }
     bundle, _ = quantize_field(np.asarray(field), config)
     symbols = bundle.quant.reshape(-1)
     book = cached_codebook(cached_histogram(symbols, config.dict_size))
@@ -241,18 +252,11 @@ def check_decoder_agreement(
     for aligned in (False, True):
         encoded = encode(symbols, book, config.huffman_chunk, aligned=aligned)
         layout = "aligned" if aligned else "dense"
-        lut = decode(encoded, book, out_dtype=out_dtype)
-        lockstep = decode_lockstep(encoded, book, out_dtype=out_dtype)
-        sequential = decode_sequential(encoded, book, out_dtype=out_dtype)
-        assert lut.tobytes() == symbols.tobytes(), (
-            f"LUT decoder diverged on the {layout} payload"
-        )
-        assert lockstep.tobytes() == symbols.tobytes(), (
-            f"lockstep decoder diverged on the {layout} payload"
-        )
-        assert sequential.tobytes() == symbols.tobytes(), (
-            f"sequential decoder diverged on the {layout} payload"
-        )
+        for name, decoder in decoders.items():
+            out = decoder(encoded, book, out_dtype=out_dtype)
+            assert out.tobytes() == symbols.tobytes(), (
+                f"{name} decoder diverged on the {layout} payload"
+            )
 
 
 def check_decode_serial_parallel_identity(

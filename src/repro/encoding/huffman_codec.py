@@ -5,15 +5,30 @@ cuSZ Huffman-encodes quant-codes in fixed-size chunks and then "deflates"
 length.  The chunk structure is not an implementation detail -- it is what
 makes GPU decoding parallel: each thread decodes one chunk independently.
 
-The primary decoder (:func:`decode`) runs *lockstep across chunks* like the
-GPU kernel, but resolves symbols through a two-level canonical lookup table
-(:class:`~repro.encoding.huffman.DecodeTable`): one gather of the dense
-fast level yields up to ``max_pack`` whole symbols and their cumulative bit
-lengths, so the number of Python-level steps is the chunk size divided by
-the per-window packing factor.  Codes longer than the fast index fall back
-to a compact ``searchsorted`` over the long-code boundaries -- the same
-value-based rule the previous per-step decoder (:func:`decode_lockstep`,
-kept as a reference) applies to every symbol.
+The primary decoder (:func:`decode`) resolves symbols through a two-level
+canonical lookup table (:class:`~repro.encoding.huffman.DecodeTable`): one
+gather of the dense fast level yields a *window* of up to ``max_pack``
+whole symbols and their cumulative bit lengths.  Codes longer than the fast
+index fall back to a compact ``searchsorted`` over the long-code boundaries
+-- the same value-based rule the table-free reference decoder
+(:func:`decode_lockstep`) applies to every symbol.  Each chunk decodes as a
+chain of windows, walked in one of two regimes picked from the stream's
+chunk count and payload bits:
+
+* **many chunks** (:func:`decode_lut_lockstep`): every chunk is a lane and
+  all lanes advance one window per Python-level step, in lockstep like the
+  GPU kernel, so the step count is the chunk size over the packing factor
+  however few lanes there are;
+* **few chunks** (:func:`decode_lut_jump`): the window starting at every
+  bit position is tabulated once, and pointer jumping enumerates each
+  chunk's chain in log2(windows) vectorized gathers, so the cost follows
+  the payload bits.
+
+Measured on a 2-core host with 4096-symbol chunks, pointer jumping is the
+faster regime up to between 32 and 64 chunks; its per-bit arrays take 32
+bytes per payload bit, so it is also capped by payload size.  Both regimes
+visit the same windows, apply the same checks and return the same symbols,
+and chunks stay independent in both.
 
 Format v3 archives byte-align every chunk ("indexed payload"): the encoder
 pads each chunk to a byte boundary and records per-chunk byte offsets
@@ -44,6 +59,8 @@ __all__ = [
     "HuffmanEncoded",
     "encode",
     "decode",
+    "decode_lut_jump",
+    "decode_lut_lockstep",
     "decode_lockstep",
     "decode_sequential",
     "split_chunk_groups",
@@ -52,6 +69,15 @@ __all__ = [
 #: Longest code the packed word-at-a-time peek can read; deeper books use
 #: the bit-array fallback inside :func:`decode_lockstep`.
 _PACKED_PEEK_MAX = 56
+
+#: :func:`decode` picks the pointer-jumping regime for streams of at most
+#: this many chunks (the measured crossover against the lockstep lanes lies
+#: between 32 and 64 chunks of 4096 symbols) ...
+_JUMP_MAX_CHUNKS = 32
+
+#: ... and at most this many payload bits, which bounds the regime's
+#: per-bit arrays (four int64 arrays) at 32 MiB.
+_JUMP_MAX_BITS = 1 << 20
 
 
 @dataclass
@@ -184,13 +210,73 @@ def decode(
 ) -> np.ndarray:
     """Decode via the two-level lookup table (the fast path).
 
-    Every chunk is an independent decode thread advancing in lockstep; one
-    fast-table gather resolves up to ``table.max_pack`` symbols per chunk
-    per step.  ``table`` is built from ``book`` when not supplied (the
-    archive read path passes a cached one).
+    Picks the regime from the stream's shape: pointer jumping
+    (:func:`decode_lut_jump`) for streams of at most ``_JUMP_MAX_CHUNKS``
+    chunks and ``_JUMP_MAX_BITS`` payload bits, whose cost follows the
+    payload bits; the cross-chunk lockstep (:func:`decode_lut_lockstep`)
+    otherwise, whose cost is the chunk size over the packing factor in
+    Python-level steps.  Both return identical symbols and raise on the
+    same corrupt streams.  ``table`` is built from ``book`` when not
+    supplied (the archive read path passes a cached one).
     """
-    n = encoded.n_symbols
-    if n == 0:
+    return _decode_lut(encoded, book, out_dtype, table, regime=None)
+
+
+def decode_lut_lockstep(
+    encoded: HuffmanEncoded,
+    book: CanonicalCodebook,
+    out_dtype=np.uint16,
+    table: DecodeTable | None = None,
+) -> np.ndarray:
+    """:func:`decode`'s many-chunk regime, whatever the stream's shape.
+
+    Every chunk is a lane advancing in lockstep; one fast-table gather
+    resolves up to ``table.max_pack`` symbols per lane per step, so the
+    step count is the chunk size over the packing factor however few lanes
+    there are.
+    """
+    return _decode_lut(encoded, book, out_dtype, table, regime=_lockstep_windows)
+
+
+def decode_lut_jump(
+    encoded: HuffmanEncoded,
+    book: CanonicalCodebook,
+    out_dtype=np.uint16,
+    table: DecodeTable | None = None,
+) -> np.ndarray:
+    """:func:`decode`'s few-chunk regime, whatever the stream's shape.
+
+    Tabulates the next window of every bit position, enumerates each
+    chunk's window chain by pointer jumping (log2(windows) vectorized
+    gathers over the per-bit arrays) and scatters all symbols at once.
+    Scratch memory is 32 bytes per payload bit; :func:`decode` only picks
+    this regime up to ``_JUMP_MAX_BITS``.
+    """
+    return _decode_lut(encoded, book, out_dtype, table, regime=_jump_windows)
+
+
+@dataclass
+class _LutStream:
+    """A validated stream staged for the table decoders."""
+
+    starts: np.ndarray  # first bit of each chunk
+    ends: np.ndarray  # bit each chunk's decode must end on
+    per_chunk: np.ndarray  # symbols in each chunk
+    padded: np.ndarray  # payload plus 8 zero bytes of peek overrun
+    win: np.ndarray  # big-endian 32-bit window at every byte offset
+    bit_limit: int
+    chunk_size: int
+    n_symbols: int
+
+    def fast_index(self, pos: np.ndarray, fast_bits: int) -> np.ndarray:
+        """The fast-table index (top ``fast_bits`` bits) at each bit position."""
+        shift = (32 - fast_bits) - (pos & 7)
+        return (self.win[pos >> 3] >> shift) & ((1 << fast_bits) - 1)
+
+
+def _decode_lut(encoded, book, out_dtype, table, regime):
+    """Stage ``encoded`` and decode it with ``regime`` (``None``: pick one)."""
+    if encoded.n_symbols == 0:
         return np.zeros(0, dtype=out_dtype)
     if book.max_length > _PACKED_PEEK_MAX:
         # Pathological (>56-bit) books: the fast window cannot hold a whole
@@ -199,9 +285,7 @@ def decode(
     if table is None:
         table = build_decode_table(book)
     starts, chunk_bits, per_chunk = _chunk_layout(encoded)
-    n_chunks = starts.size
     payload = np.asarray(encoded.payload, dtype=np.uint8)
-    bit_limit = payload.size * 8
     padded = np.concatenate([payload, np.zeros(8, dtype=np.uint8)])
     # Big-endian 32-bit window at every byte offset: one gather + one shift
     # peeks the fast index at any bit phase (fast_bits <= 24).
@@ -212,58 +296,75 @@ def decode(
         | (pb[2:-1] << np.uint32(8))
         | pb[3:]
     )
+    stream = _LutStream(
+        starts=starts,
+        ends=starts + chunk_bits,
+        per_chunk=per_chunk,
+        padded=padded,
+        win=win,
+        bit_limit=payload.size * 8,
+        chunk_size=encoded.chunk_size,
+        n_symbols=encoded.n_symbols,
+    )
+    if regime is None:
+        few = starts.size <= _JUMP_MAX_CHUNKS and stream.bit_limit <= _JUMP_MAX_BITS
+        regime = _jump_windows if few else _lockstep_windows
+    return regime(stream, book, table, out_dtype)
+
+
+def _decode_slow(
+    s: _LutStream, book: CanonicalCodebook, table: DecodeTable, pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(symbols, lengths) of the long codes starting at ``pos``.
+
+    Value-based decode at full peek width, restricted to the lengths past
+    the fast level; raises on windows that start no code.
+    """
+    if not table.has_slow_level:
+        raise EncodingError("corrupt Huffman stream: value below first code")
+    W = book.max_length
+    vw = peek_bits_prepadded(s.padded, pos, W)
+    bucket = np.searchsorted(table.slow_boundaries, vw, side="right") - 1
+    if int(bucket.min()) < 0:
+        raise EncodingError("corrupt Huffman stream: value below first code")
+    lens = table.slow_lengths[bucket]
+    idx = (vw >> (W - lens)) - book.first_code[lens] + table.slow_bias[bucket]
+    if int(idx.max()) >= book.sorted_symbols.size or int(idx.min()) < 0:
+        raise EncodingError("corrupt Huffman stream: symbol index out of range")
+    return book.sorted_symbols[idx], lens
+
+
+def _lockstep_windows(s: _LutStream, book, table: DecodeTable, out_dtype) -> np.ndarray:
+    """Advance every chunk one window per step until all are done."""
     F = table.fast_bits
     K = table.max_pack
-    W = book.max_length
-    fast_shift = np.int64(32 - F)
-    fast_mask = np.int64((1 << F) - 1)
     koff = np.arange(K, dtype=np.int64)
     nsym_tab, syms_tab, cumlen_tab = table.nsym, table.syms, table.cumlen
-    first_code, sorted_symbols = book.first_code, book.sorted_symbols
+    n_chunks = s.starts.size
 
     # Per-chunk scratch rows padded by K: a fast hit writes all K candidate
     # symbols unconditionally; columns past the accepted count are junk that
     # the next step (or the final trim) overwrites.
-    row_w = encoded.chunk_size + K
+    row_w = s.chunk_size + K
     scratch = np.empty(n_chunks * row_w, dtype=out_dtype)
-    cursors = starts.copy()
-    exp_end = starts + chunk_bits
-    budget = per_chunk.copy()
+    cursors = s.starts.copy()
+    exp_end = s.ends
+    budget = s.per_chunk.copy()
     dst = np.arange(n_chunks, dtype=np.int64) * row_w
 
     while cursors.size:
-        v = (win[cursors >> 3] >> (fast_shift - (cursors & 7))) & fast_mask
+        v = s.fast_index(cursors, F)
         ns = nsym_tab[v].astype(np.int64)
         slow = ns == 0
-        any_slow = bool(slow.any())
         scratch[dst[:, None] + koff] = syms_tab[v]
         allowed = np.minimum(np.maximum(ns, 1), budget)
         consumed = cumlen_tab[v, allowed - 1].astype(np.int64)
-        if any_slow:
-            # Rare long codes (or corrupt windows): value-based decode at
-            # full peek width, restricted to the lengths > fast_bits.
-            if not table.has_slow_level:
-                raise EncodingError(
-                    "corrupt Huffman stream: value below first code"
-                )
-            pos = cursors[slow]
-            vw = peek_bits_prepadded(padded, np.minimum(pos, bit_limit), W)
-            bucket = np.searchsorted(table.slow_boundaries, vw, side="right") - 1
-            if bucket.size and int(bucket.min()) < 0:
-                raise EncodingError(
-                    "corrupt Huffman stream: value below first code"
-                )
-            lens = table.slow_lengths[bucket]
-            idx = (vw >> (W - lens)) - first_code[lens] + table.slow_bias[bucket]
-            if idx.size and (
-                int(idx.max()) >= sorted_symbols.size or int(idx.min()) < 0
-            ):
-                raise EncodingError(
-                    "corrupt Huffman stream: symbol index out of range"
-                )
-            scratch[dst[slow]] = sorted_symbols[idx].astype(out_dtype)
+        if slow.any():
+            # Rare long codes (or corrupt windows).
+            syms, lens = _decode_slow(s, book, table, cursors[slow])
+            scratch[dst[slow]] = syms
             consumed[slow] = lens
-        cursors = np.minimum(cursors + consumed, bit_limit)
+        cursors = np.minimum(cursors + consumed, s.bit_limit)
         dst += allowed
         budget -= allowed
         if int(budget.min()) == 0:
@@ -278,7 +379,90 @@ def decode(
             budget = budget[keep]
             dst = dst[keep]
 
-    return scratch.reshape(n_chunks, row_w)[:, : encoded.chunk_size].reshape(-1)[:n]
+    return scratch.reshape(n_chunks, row_w)[:, : s.chunk_size].reshape(-1)[: s.n_symbols]
+
+
+def _jump_windows(s: _LutStream, book, table: DecodeTable, out_dtype) -> np.ndarray:
+    """Enumerate every chunk's windows by pointer jumping, then scatter once."""
+    F = table.fast_bits
+    K = table.max_pack
+    nsym_tab, syms_tab, cumlen_tab = table.nsym, table.syms, table.cumlen
+    n_chunks = s.starts.size
+
+    # Link of every bit position as a window start: the position after its
+    # whole window (nxt) and the symbols the window yields (cnt).  Position
+    # bit_limit is included: it is the sink clamped cursors park on.
+    nb = s.bit_limit + 1
+    phases = np.arange(32 - F, 24 - F, -1, dtype=np.int64)
+    v = ((s.win[: (nb + 7) >> 3, None] >> phases) & ((1 << F) - 1)).reshape(-1)[:nb]
+    cnt_tab = np.maximum(nsym_tab, 1).astype(np.int64)
+    adv_tab = cumlen_tab[np.arange(cnt_tab.size), cnt_tab - 1].astype(np.int64)
+    nxt = adv_tab[v]
+    cnt = cnt_tab[v]
+    del v
+    # No fast entry: a long code, or no code at all.  A window that starts
+    # no code needs only some advance here, since a chain that visits it
+    # raises in the scatter pass below.
+    slow = np.flatnonzero(nxt == 0)
+    if slow.size:
+        if table.has_slow_level:
+            vw = peek_bits_prepadded(s.padded, slow, book.max_length)
+            bucket = np.searchsorted(table.slow_boundaries, vw, side="right") - 1
+            nxt[slow] = table.slow_lengths[np.maximum(bucket, 0)]
+        else:
+            nxt[slow] = 1
+    nxt += np.arange(nb, dtype=np.int64)
+    np.minimum(nxt, s.bit_limit, out=nxt)
+
+    # Pointer jumping.  At level k, nxt/cnt span 2**k windows, and the
+    # chain set holds each chunk's first 2**k windows (pos, symbol offset
+    # off, chunk cid); jumping from every member appends the next 2**k.
+    # Stop once each chunk's windows cover its symbols.
+    pos = s.starts
+    off = np.zeros(n_chunks, dtype=np.int64)
+    cid = np.arange(n_chunks, dtype=np.int64)
+    covered = cnt[s.starts]
+    nxt2, cnt2 = np.empty_like(nxt), np.empty_like(cnt)
+    while bool((covered < s.per_chunk).any()):
+        far = off + cnt[pos]
+        keep = far < s.per_chunk[cid]
+        pos = np.concatenate([pos, nxt[pos][keep]])
+        off = np.concatenate([off, far[keep]])
+        cid = np.concatenate([cid, cid[keep]])
+        covered = covered + cnt[nxt[s.starts]]
+        if bool((covered < s.per_chunk).any()):
+            # mode="clip" (a no-op: every link is in range) lets take
+            # write straight into the reused buffer.
+            np.take(cnt, nxt, out=cnt2, mode="clip")
+            cnt2 += cnt
+            np.take(nxt, nxt, out=nxt2, mode="clip")
+            nxt, nxt2 = nxt2, nxt
+            cnt, cnt2 = cnt2, cnt
+    del nxt, cnt, nxt2, cnt2
+
+    # One scatter over the chains: exactly the windows the lockstep regime
+    # visits, with the same checks.  A chunk's last window may pack more
+    # symbols than remain; it takes only what the chunk holds.
+    v = s.fast_index(pos, F)
+    ns = nsym_tab[v].astype(np.int64)
+    take = np.minimum(np.maximum(ns, 1), s.per_chunk[cid] - off)
+    used = cumlen_tab[v, take - 1].astype(np.int64)
+    dest = cid * s.chunk_size + off
+    koff = np.arange(K, dtype=np.int64)
+    cols = koff < take[:, None]
+    out = np.empty(s.n_symbols, dtype=out_dtype)
+    out[(dest[:, None] + koff)[cols]] = syms_tab[v][cols]
+    slow = ns == 0
+    if slow.any():
+        syms, lens = _decode_slow(s, book, table, pos[slow])
+        out[dest[slow]] = syms
+        used[slow] = lens
+    last = off + take == s.per_chunk[cid]
+    ends = np.full(n_chunks, -1, dtype=np.int64)
+    ends[cid[last]] = np.minimum(pos[last] + used[last], s.bit_limit)
+    if not np.array_equal(ends, s.ends):
+        raise EncodingError("corrupt Huffman stream: chunk length mismatch")
+    return out
 
 
 def decode_lockstep(

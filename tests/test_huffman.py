@@ -14,13 +14,20 @@ from repro.encoding.huffman import (
     build_decode_table,
     lookup_codes,
 )
+from repro.encoding import huffman_codec
 from repro.encoding.huffman_codec import (
     decode,
     decode_lockstep,
+    decode_lut_jump,
+    decode_lut_lockstep,
     decode_sequential,
     encode,
     split_chunk_groups,
 )
+
+#: ``decode`` and the two regimes it picks between; each entry point must
+#: detect the same corruptions.
+ENTRY_POINTS = [decode, decode_lut_lockstep, decode_lut_jump]
 
 
 def random_symbols(rng, n, alphabet, skew=1.5):
@@ -169,8 +176,9 @@ class TestCodecRoundtrip:
         enc = encode(syms, book, 128)
         enc.chunk_bits = enc.chunk_bits.copy()
         enc.chunk_bits[0] += 3
-        with pytest.raises(EncodingError):
-            decode(enc, book)
+        for entry in ENTRY_POINTS:
+            with pytest.raises(EncodingError):
+                entry(enc, book)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -244,8 +252,63 @@ class TestDeepCodebookFallback:
         enc = encode(syms, book, 2)
         enc.chunk_bits = enc.chunk_bits.copy()
         enc.chunk_bits[-1] += 1
-        with pytest.raises(EncodingError):
-            decode(enc, book)
+        for entry in ENTRY_POINTS:
+            with pytest.raises(EncodingError):
+                entry(enc, book)
+
+
+class TestDecodeRegimes:
+    """Both regimes of :func:`decode` -- cross-chunk lockstep and pointer
+    jumping -- return the sequential oracle's symbols on dense and aligned
+    payloads, whatever the stream's shape."""
+
+    @staticmethod
+    def _case(name):
+        rng = np.random.default_rng(31)
+        if name == "few_chunks":
+            syms = random_symbols(rng, 5000, 256)
+            return syms, build_codebook(np.bincount(syms, minlength=256)), 512
+        if name == "many_chunks":  # more chunks than decode's jump regime takes
+            syms = random_symbols(rng, 40 * 50, 64)
+            return syms, build_codebook(np.bincount(syms, minlength=64)), 50
+        if name == "deep_book":  # a 1..20-bit chain: long codes hit the slow level
+            book = CanonicalCodebook.deserialized(bytes(list(range(1, 20)) + [20, 20]))
+            return rng.integers(0, 21, 600).astype(np.uint16), book, 37
+        if name == "single_symbol":  # 1-bit code, 8 per window, 13 per chunk
+            syms = np.full(500, 3, dtype=np.uint16)
+            return syms, build_codebook(np.bincount(syms, minlength=8)), 13
+        raise ValueError(name)
+
+    def test_cases_reach_their_edges(self):
+        # decode itself dispatches the few-chunk case to pointer jumping and
+        # the many-chunk case to the lockstep lanes.
+        for case, jumps in (("few_chunks", True), ("many_chunks", False)):
+            syms, _, chunk = self._case(case)
+            n_chunks = -(-syms.size // chunk)
+            assert (n_chunks <= huffman_codec._JUMP_MAX_CHUNKS) == jumps
+        _, book, _ = self._case("deep_book")
+        assert build_decode_table(book).has_slow_level
+        _, book, chunk = self._case("single_symbol")
+        pack = int(build_decode_table(book).nsym[0])
+        # Each chunk's last window packs more symbols than remain.
+        assert pack > 1 and chunk % pack != 0
+
+    @pytest.mark.parametrize(
+        "regime", [decode_lut_lockstep, decode_lut_jump], ids=["lockstep", "jump"]
+    )
+    @pytest.mark.parametrize("aligned", [False, True], ids=["dense", "aligned"])
+    @pytest.mark.parametrize(
+        "case", ["few_chunks", "many_chunks", "deep_book", "single_symbol"]
+    )
+    def test_regime_matches_sequential(self, case, aligned, regime):
+        syms, book, chunk = self._case(case)
+        enc = encode(syms, book, chunk, aligned=aligned)
+        expected = decode_sequential(enc, book)
+        np.testing.assert_array_equal(expected, syms)
+        out = regime(enc, book, table=build_decode_table(book))
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert decode(enc, book).tobytes() == expected.tobytes()
 
 
 class TestAlignedLayout:
