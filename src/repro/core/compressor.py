@@ -202,7 +202,7 @@ def _compress_impl(data: np.ndarray, config: CompressorConfig) -> CompressionRes
                 stage_stats.update(
                     emit_huffman_sections(
                         flat, config.dict_size, config.huffman_chunk, builder,
-                        lz_stage=workflow == "huffman+lz",
+                        lz_stage=workflow == "huffman+lz", freqs=freqs,
                     )
                 )
             elif workflow in ("rle", "rle+vle"):

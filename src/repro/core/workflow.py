@@ -44,7 +44,11 @@ __all__ = [
 
 
 def _huffman_encode_stream(
-    symbols: np.ndarray, alphabet_size: int, chunk_size: int, aligned: bool = False
+    symbols: np.ndarray,
+    alphabet_size: int,
+    chunk_size: int,
+    aligned: bool = False,
+    freqs: np.ndarray | None = None,
 ) -> tuple[CanonicalCodebook, HuffmanEncoded, float]:
     """Histogram -> codebook -> chunked encode; returns (book, stream, ⟨b⟩).
 
@@ -52,12 +56,15 @@ def _huffman_encode_stream(
     inside an engine worker (:func:`repro.engine.cache.cache_scope`) blocks
     with a previously-seen quant-code distribution skip tree construction;
     outside an engine the hooks fall through to direct computation.
+    ``freqs``, when the caller already holds the histogram of ``symbols``
+    over ``alphabet_size``, skips the histogram pass.
 
     ``aligned`` emits the format-v3 indexed payload (byte-aligned chunks
     with recorded sync points).
     """
-    with tel.span("huffman.histogram", bytes_in=int(symbols.nbytes)):
-        freqs = cached_histogram(symbols, alphabet_size)
+    if freqs is None:
+        with tel.span("huffman.histogram", bytes_in=int(symbols.nbytes)):
+            freqs = cached_histogram(symbols, alphabet_size)
     with tel.span("huffman.codebook"):
         book = cached_codebook(freqs)
     with tel.span("huffman.encode", bytes_in=int(symbols.nbytes)) as sp:
@@ -92,18 +99,21 @@ def emit_huffman_sections(
     builder: ArchiveBuilder,
     prefix: str = "q",
     lz_stage: bool = False,
+    freqs: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Huffman-encode ``symbols`` and add codebook/payload/metadata sections.
 
     ``lz_stage`` appends the CPU-side dictionary pass (cuSZ Step-9): the
     deflated Huffman bitstream is LZ77-compressed into ``<prefix>.lz``
-    (replacing ``<prefix>.bits``) when that actually shrinks it.  Returns
-    stage statistics used by the compression info report.
+    (replacing ``<prefix>.bits``) when that actually shrinks it.  ``freqs``
+    is the histogram of ``symbols`` over ``alphabet_size`` when the caller
+    has already computed it.  Returns stage statistics used by the
+    compression info report.
     """
     from ..encoding.lz77 import lz_compress
 
     book, encoded, avg_bitlen = _huffman_encode_stream(
-        symbols, alphabet_size, chunk_size, aligned=builder.version >= 3
+        symbols, alphabet_size, chunk_size, aligned=builder.version >= 3, freqs=freqs
     )
     stats = {
         "avg_bitlen": avg_bitlen,

@@ -1,11 +1,17 @@
 """Vectorized variable-length bit packing and unpacking.
 
 GPU Huffman encoders write each symbol's codeword at a data-dependent bit
-offset computed with a prefix sum over the code lengths; this module does the
-same with NumPy.  Packing expands every codeword into its individual bits
-(``np.repeat`` over lengths gives each bit its owning symbol, a second prefix
-sum gives its position inside the codeword) and then ``np.packbits`` the
-result -- no Python-level loop over symbols.
+offset computed with a prefix sum over the code lengths, and cuSZ+ stores an
+output word to DRAM only once it is complete (arXiv:2105.12912 §IV).  This
+module packs the same way with NumPy, a 64-bit word at a time: each codeword
+is left-aligned in a ``uint64`` (``code << (64 - length)``) and shifted to
+its bit phase inside the word its span starts in; the codes that start in
+one word are OR-ed together with one ``np.bitwise_or.reduceat`` over the
+ascending word indices, and the at-most-one code that crosses each word
+boundary ORs its spilled low bits into the next word.  Words are stored
+big-endian, so the bytes are MSB-first -- the layout ``np.packbits`` gives a
+bit array.  Temporaries are a few arrays with one element per codeword, no
+Python-level loop and nothing per coded bit.
 
 Bit order is MSB-first within each codeword and within each byte, matching
 the canonical-Huffman decode tables in :mod:`repro.encoding.huffman`.
@@ -20,6 +26,7 @@ from ..core.errors import EncodingError
 __all__ = [
     "pack_codes",
     "pack_codes_at",
+    "pack_words_into",
     "unpack_to_bits",
     "peek_bits",
     "bits_to_bytes",
@@ -33,7 +40,8 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]
     ----------
     codes:
         Per-symbol codewords, right-aligned in a ``uint64`` (the codeword's
-        most significant bit is bit ``length - 1``).
+        most significant bit is bit ``length - 1``; bits above it are
+        ignored).
     lengths:
         Per-symbol codeword bit lengths (1..64).
 
@@ -43,59 +51,78 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]
         ``packed`` is a ``uint8`` array (MSB-first; final byte zero-padded),
         ``total_bits`` the exact number of meaningful bits.
     """
-    codes = np.asarray(codes, dtype=np.uint64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    if codes.shape != lengths.shape:
-        raise EncodingError("codes and lengths must have identical shapes")
-    if codes.size == 0:
-        return np.zeros(0, dtype=np.uint8), 0
-    if lengths.min() < 1 or lengths.max() > 64:
-        raise EncodingError("code lengths must be in 1..64")
     ends = np.cumsum(lengths)
-    total_bits = int(ends[-1])
-    starts = ends - lengths
-    # Each output bit knows its owning symbol and its index inside the code.
-    owner = np.repeat(np.arange(codes.size, dtype=np.int64), lengths)
-    pos_in_code = np.arange(total_bits, dtype=np.int64) - np.repeat(starts, lengths)
-    shift = (lengths[owner] - 1 - pos_in_code).astype(np.uint64)
-    bits = ((codes[owner] >> shift) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits), total_bits
+    total_bits = int(ends[-1]) if ends.size else 0
+    return pack_codes_at(codes, lengths, ends - lengths, total_bits), total_bits
 
 
 def pack_codes_at(
     codes: np.ndarray, lengths: np.ndarray, starts: np.ndarray, total_bits: int
 ) -> np.ndarray:
-    """Scatter variable-length codewords at explicit bit offsets.
+    """Place variable-length codewords at explicit bit offsets.
 
     Like :func:`pack_codes` but each codeword lands at its own ``starts[i]``
     bit position instead of being densely concatenated; unwritten gaps stay
     zero.  This is how the format-v3 indexed payload byte-aligns every
     chunk: the caller computes per-chunk byte offsets and passes absolute
     per-symbol bit positions.
+
+    The spans ``[starts[i], starts[i] + lengths[i])`` must lie inside
+    ``total_bits``, in ascending order and without overlap (adjacent spans
+    may touch); anything else raises :class:`EncodingError`.
     """
     codes = np.asarray(codes, dtype=np.uint64)
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     if not (codes.shape == lengths.shape == starts.shape):
         raise EncodingError("codes, lengths and starts must have identical shapes")
+    codes, lengths, starts = codes.reshape(-1), lengths.reshape(-1), starts.reshape(-1)
     if total_bits < 0:
         raise EncodingError(f"total_bits must be >= 0, got {total_bits}")
-    if codes.size == 0:
-        return np.zeros((total_bits + 7) // 8, dtype=np.uint8)
-    if lengths.min() < 1 or lengths.max() > 64:
-        raise EncodingError("code lengths must be in 1..64")
-    if starts.min() < 0 or int((starts + lengths).max()) > total_bits:
-        raise EncodingError("codeword bit span falls outside total_bits")
-    code_bits = int(lengths.sum())
-    owner = np.repeat(np.arange(codes.size, dtype=np.int64), lengths)
-    code_starts = np.cumsum(lengths) - lengths
-    pos_in_code = np.arange(code_bits, dtype=np.int64) - np.repeat(code_starts, lengths)
-    shift = (lengths[owner] - 1 - pos_in_code).astype(np.uint64)
-    bits = np.zeros(total_bits, dtype=np.uint8)
-    bits[np.repeat(starts, lengths) + pos_in_code] = (
-        (codes[owner] >> shift) & np.uint64(1)
-    ).astype(np.uint8)
-    return np.packbits(bits)
+    words = np.zeros(-(-total_bits // 64), dtype=">u8")
+    if codes.size:
+        if lengths.min() < 1 or lengths.max() > 64:
+            raise EncodingError("code lengths must be in 1..64")
+        if starts.min() < 0 or int((starts + lengths).max()) > total_bits:
+            raise EncodingError("codeword bit span falls outside total_bits")
+        if np.any(starts[1:] < starts[:-1] + lengths[:-1]):
+            raise EncodingError(
+                "codeword spans must be in ascending order and must not overlap"
+            )
+        left = codes << (np.uint64(64) - lengths.astype(np.uint64))
+        pack_words_into(words, left, lengths, starts)
+    return words.view(np.uint8)[: bits_to_bytes(total_bits)]
+
+
+def pack_words_into(
+    words: np.ndarray, left: np.ndarray, lengths: np.ndarray, starts: np.ndarray
+) -> None:
+    """OR codewords into a word buffer at the given bit offsets.
+
+    ``words`` is a ``uint64`` buffer (big-endian ``">u8"`` for MSB-first
+    bytes) whose bit ``b`` is bit ``63 - b % 64`` of word ``b // 64``.
+    ``left`` holds the codewords left-aligned (``code << (64 - length)``,
+    ``uint64``), ``lengths`` their lengths (1..64, ``uint8`` or ``int64``)
+    and ``starts`` their first bits (``int64``).  The spans must be ascending,
+    non-overlapping and inside the buffer -- unchecked here;
+    :func:`pack_codes_at` validates them for outside callers.  Bits already
+    set in ``words`` are kept, so consecutive calls over adjacent runs of
+    codes may share a boundary word.
+    """
+    word = starts >> 6
+    phase = starts & 63
+    # Each code's bits that fall inside the word its span starts in.
+    head = left >> phase.view(np.uint64)
+    first = np.flatnonzero(word[1:] != word[:-1])
+    first += 1
+    first = np.concatenate(([0], first))
+    words[word[first]] |= np.bitwise_or.reduceat(head, first)
+    # A span crossing a word boundary spills its low bits into the next
+    # word; spans do not overlap, so at most one spills into each word.
+    spill = np.flatnonzero(phase + lengths > 64)
+    if spill.size:
+        words[word[spill] + 1] |= left[spill] << (64 - phase[spill]).view(np.uint64)
 
 
 def unpack_to_bits(packed: np.ndarray, total_bits: int) -> np.ndarray:

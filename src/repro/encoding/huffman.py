@@ -371,12 +371,16 @@ def build_decode_table(book: CanonicalCodebook, fast_bits: int | None = None) ->
     )
 
 
-def lookup_codes(book: CanonicalCodebook, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map a symbol stream to (codes, lengths); raises if a symbol is absent."""
+def lookup_lengths(book: CanonicalCodebook, symbols: np.ndarray) -> np.ndarray:
+    """Per-symbol code lengths (``uint8``); raises if a symbol is absent.
+
+    The codewords are ``book.codes[symbols]``, safe to gather once the
+    symbols have passed this check.
+    """
     symbols = np.asarray(symbols)
     if symbols.size and (int(symbols.min()) < 0 or int(symbols.max()) >= book.alphabet_size):
         raise CodebookOverflowError("symbol outside the codebook alphabet")
     lengths = book.lengths[symbols]
     if symbols.size and int(lengths.min()) == 0:
         raise CodebookOverflowError("symbol with no assigned code in the stream")
-    return book.codes[symbols], lengths
+    return lengths

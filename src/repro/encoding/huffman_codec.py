@@ -5,6 +5,11 @@ cuSZ Huffman-encodes quant-codes in fixed-size chunks and then "deflates"
 length.  The chunk structure is not an implementation detail -- it is what
 makes GPU decoding parallel: each thread decodes one chunk independently.
 
+The encoder (:func:`encode`) packs codewords a 64-bit word at a time
+(:func:`~repro.encoding.bitio.pack_words_into`, the host form of the cuSZ+
+encoder's store-on-completion) over slabs of whole chunks, so its scratch
+memory is one byte per symbol plus the payload plus one cache-sized slab.
+
 The primary decoder (:func:`decode`) resolves symbols through a two-level
 canonical lookup table (:class:`~repro.encoding.huffman.DecodeTable`): one
 gather of the dense fast level yields a *window* of up to ``max_pack``
@@ -47,13 +52,13 @@ import numpy as np
 
 from ..core.errors import EncodingError
 from .bitio import (
-    pack_codes,
-    pack_codes_at,
+    bits_to_bytes,
+    pack_words_into,
     peek_bits,
     peek_bits_prepadded,
     unpack_to_bits,
 )
-from .huffman import CanonicalCodebook, DecodeTable, build_decode_table, lookup_codes
+from .huffman import CanonicalCodebook, DecodeTable, build_decode_table, lookup_lengths
 
 __all__ = [
     "HuffmanEncoded",
@@ -69,6 +74,10 @@ __all__ = [
 #: Longest code the packed word-at-a-time peek can read; deeper books use
 #: the bit-array fallback inside :func:`decode_lockstep`.
 _PACKED_PEEK_MAX = 56
+
+#: :func:`encode` packs whole chunks about this many symbols at a time, so a
+#: slab's per-symbol temporaries (a few 8-byte arrays) stay in cache.
+_ENCODE_SLAB_SYMBOLS = 1 << 16
 
 #: :func:`decode` picks the pointer-jumping regime for streams of at most
 #: this many chunks (the measured crossover against the lockstep lanes lies
@@ -135,40 +144,61 @@ def encode(
     ``aligned`` pads every chunk to a byte boundary and records the
     per-chunk byte offsets (the format-v3 indexed payload); the default
     dense layout concatenates chunks with no padding.
+
+    One pass gathers every symbol's code length (one byte per symbol),
+    from which the per-chunk bit lengths, the chunk start bits and the
+    payload size follow.  The codewords are then packed a 64-bit word at a
+    time (:func:`~repro.encoding.bitio.pack_words_into`) over slabs of whole
+    chunks of about ``_ENCODE_SLAB_SYMBOLS`` symbols, straight into the
+    payload's word buffer, so scratch memory is the length array, the
+    payload and one slab's temporaries, whatever the stream's size.
     """
     symbols = np.asarray(symbols).reshape(-1)
     if symbols.size == 0:
         raise EncodingError("cannot Huffman-encode an empty stream")
     if chunk_size < 1:
         raise EncodingError(f"chunk_size must be >= 1, got {chunk_size}")
-    codes, lengths = lookup_codes(book, symbols)
-    # Per-chunk bit lengths: sum of code lengths within each chunk.
-    n_chunks = (symbols.size + chunk_size - 1) // chunk_size
-    ends = np.cumsum(lengths.astype(np.int64))
-    chunk_last = np.minimum(np.arange(1, n_chunks + 1) * chunk_size, symbols.size) - 1
-    chunk_end_bits = ends[chunk_last]
-    chunk_bits = np.diff(np.concatenate(([0], chunk_end_bits))).astype(np.uint32)
+    n = symbols.size
+    lengths = lookup_lengths(book, symbols)
+    # Summed with an int64 accumulator, not by casting the uint8 lengths.
+    n_full = n // chunk_size
+    chunk_bits = lengths[: n_full * chunk_size].reshape(n_full, chunk_size).sum(
+        axis=1, dtype=np.int64
+    )
+    if n % chunk_size:
+        chunk_bits = np.append(chunk_bits, lengths[n_full * chunk_size :].sum(dtype=np.int64))
+    offsets = None
     if aligned:
-        byte_lens = (chunk_bits.astype(np.int64) + 7) >> 3
+        byte_lens = (chunk_bits + 7) >> 3
         offsets = np.concatenate(([0], np.cumsum(byte_lens)[:-1]))
-        chunk_of = np.arange(symbols.size, dtype=np.int64) // chunk_size
-        within = (ends - lengths) - np.concatenate(([0], chunk_end_bits[:-1]))[chunk_of]
-        starts = offsets[chunk_of] * 8 + within
-        packed = pack_codes_at(codes, lengths, starts, int(byte_lens.sum()) * 8)
-        return HuffmanEncoded(
-            payload=packed,
-            chunk_bits=chunk_bits,
-            n_symbols=int(symbols.size),
-            chunk_size=int(chunk_size),
-            chunk_offsets=offsets.astype(np.uint64),
-        )
-    packed, total_bits = pack_codes(codes, lengths)
-    assert int(chunk_bits.sum()) == total_bits
+        chunk_starts = offsets * 8
+        total_bits = int(byte_lens.sum()) * 8
+    else:
+        chunk_starts = np.concatenate(([0], np.cumsum(chunk_bits)[:-1]))
+        total_bits = int(chunk_bits.sum())
+    words = np.zeros(-(-total_bits // 64), dtype=">u8")
+    left_codes = book.codes << (np.uint64(64) - book.lengths)
+    slab = max(1, _ENCODE_SLAB_SYMBOLS // chunk_size) * chunk_size
+    for a in range(0, n, slab):
+        sym = symbols[a : a + slab].astype(np.intp)
+        lens = lengths[a : a + slab]
+        m = sym.size
+        # Bit start of each symbol: its offset inside the slab (an
+        # exclusive prefix sum), moved so each chunk begins at its start bit.
+        starts = np.empty(m + 1, dtype=np.int64)
+        starts[0] = 0
+        starts[1:] = lens
+        starts = np.cumsum(starts, out=starts)[:m]
+        c0 = a // chunk_size
+        shift = chunk_starts[c0 : c0 + -(-m // chunk_size)] - starts[::chunk_size]
+        starts += np.repeat(shift, chunk_size)[:m]
+        pack_words_into(words, left_codes[sym], lens, starts)
     return HuffmanEncoded(
-        payload=packed,
-        chunk_bits=chunk_bits,
-        n_symbols=int(symbols.size),
+        payload=words.view(np.uint8)[: bits_to_bytes(total_bits)],
+        chunk_bits=chunk_bits.astype(np.uint32),
+        n_symbols=int(n),
         chunk_size=int(chunk_size),
+        chunk_offsets=None if offsets is None else offsets.astype(np.uint64),
     )
 
 
@@ -268,6 +298,13 @@ class _LutStream:
     chunk_size: int
     n_symbols: int
 
+    @property
+    def overrun(self) -> int:
+        """Where a cursor that runs past the payload parks: one bit beyond
+        it, so the chunk's end-bit check fails instead of matching a chunk
+        that ends on the payload's last bit."""
+        return self.bit_limit + 1
+
     def fast_index(self, pos: np.ndarray, fast_bits: int) -> np.ndarray:
         """The fast-table index (top ``fast_bits`` bits) at each bit position."""
         shift = (32 - fast_bits) - (pos & 7)
@@ -349,6 +386,7 @@ def _lockstep_windows(s: _LutStream, book, table: DecodeTable, out_dtype) -> np.
     scratch = np.empty(n_chunks * row_w, dtype=out_dtype)
     cursors = s.starts.copy()
     exp_end = s.ends
+    overrun = s.overrun
     budget = s.per_chunk.copy()
     dst = np.arange(n_chunks, dtype=np.int64) * row_w
 
@@ -364,7 +402,7 @@ def _lockstep_windows(s: _LutStream, book, table: DecodeTable, out_dtype) -> np.
             syms, lens = _decode_slow(s, book, table, cursors[slow])
             scratch[dst[slow]] = syms
             consumed[slow] = lens
-        cursors = np.minimum(cursors + consumed, s.bit_limit)
+        cursors = np.minimum(cursors + consumed, overrun)
         dst += allowed
         budget -= allowed
         if int(budget.min()) == 0:
@@ -390,9 +428,9 @@ def _jump_windows(s: _LutStream, book, table: DecodeTable, out_dtype) -> np.ndar
     n_chunks = s.starts.size
 
     # Link of every bit position as a window start: the position after its
-    # whole window (nxt) and the symbols the window yields (cnt).  Position
-    # bit_limit is included: it is the sink clamped cursors park on.
-    nb = s.bit_limit + 1
+    # whole window (nxt) and the symbols the window yields (cnt).  Positions
+    # up to s.overrun are included: it is the sink clamped links park on.
+    nb = s.overrun + 1
     phases = np.arange(32 - F, 24 - F, -1, dtype=np.int64)
     v = ((s.win[: (nb + 7) >> 3, None] >> phases) & ((1 << F) - 1)).reshape(-1)[:nb]
     cnt_tab = np.maximum(nsym_tab, 1).astype(np.int64)
@@ -412,7 +450,7 @@ def _jump_windows(s: _LutStream, book, table: DecodeTable, out_dtype) -> np.ndar
         else:
             nxt[slow] = 1
     nxt += np.arange(nb, dtype=np.int64)
-    np.minimum(nxt, s.bit_limit, out=nxt)
+    np.minimum(nxt, s.overrun, out=nxt)
 
     # Pointer jumping.  At level k, nxt/cnt span 2**k windows, and the
     # chain set holds each chunk's first 2**k windows (pos, symbol offset
@@ -459,7 +497,7 @@ def _jump_windows(s: _LutStream, book, table: DecodeTable, out_dtype) -> np.ndar
         used[slow] = lens
     last = off + take == s.per_chunk[cid]
     ends = np.full(n_chunks, -1, dtype=np.int64)
-    ends[cid[last]] = np.minimum(pos[last] + used[last], s.bit_limit)
+    ends[cid[last]] = np.minimum(pos[last] + used[last], s.overrun)
     if not np.array_equal(ends, s.ends):
         raise EncodingError("corrupt Huffman stream: chunk length mismatch")
     return out
@@ -502,6 +540,9 @@ def decode_lockstep(
     starts, chunk_bits, per_chunk = _chunk_layout(encoded)
     cursors = starts.copy()
     n_chunks = cursors.size
+    # A cursor that runs past the payload parks one bit beyond it (so the
+    # end-bit check fails) instead of peeking past the zero padding.
+    overrun = encoded.payload_bytes * 8 + 1
     out = np.empty(n, dtype=out_dtype)
     out_base = np.arange(n_chunks, dtype=np.int64) * encoded.chunk_size
 
@@ -521,7 +562,7 @@ def decode_lockstep(
         if idx.size and (int(idx.max()) >= sorted_symbols.size or int(idx.min()) < 0):
             raise EncodingError("corrupt Huffman stream: symbol index out of range")
         out[out_base[active] + step] = sorted_symbols[idx].astype(out_dtype)
-        cursors[active] = pos + lens
+        cursors[active] = np.minimum(pos + lens, overrun)
         step += 1
     # Every cursor must land exactly on its chunk's end bit.
     if not np.array_equal(cursors, starts + chunk_bits):
@@ -532,9 +573,13 @@ def decode_lockstep(
 def decode_sequential(
     encoded: HuffmanEncoded, book: CanonicalCodebook, out_dtype=np.uint16
 ) -> np.ndarray:
-    """Bit-by-bit reference decoder (slow; for validation only)."""
+    """Bit-by-bit reference decoder (slow; for validation only).
+
+    Raises :class:`EncodingError` on a code that runs past the payload or a
+    chunk that does not end on its recorded end bit, like the fast decoders.
+    """
     bits = unpack_to_bits(encoded.payload, encoded.payload_bytes * 8)
-    starts, _, per_chunk = _chunk_layout(encoded)
+    starts, chunk_bits, per_chunk = _chunk_layout(encoded)
     out = np.empty(encoded.n_symbols, dtype=out_dtype)
     lengths = book.lengths
     codes = book.codes
@@ -550,6 +595,11 @@ def decode_sequential(
             acc = 0
             ln = 0
             while True:
+                if pos >= bits.size:
+                    raise EncodingError(
+                        "corrupt Huffman stream (sequential decode): code runs "
+                        "past the payload"
+                    )
                 acc = (acc << 1) | int(bits[pos])
                 pos += 1
                 ln += 1
@@ -560,6 +610,10 @@ def decode_sequential(
                     break
                 if ln > book.max_length:
                     raise EncodingError("corrupt Huffman stream (sequential decode)")
+        if pos != int(starts[c] + chunk_bits[c]):
+            raise EncodingError(
+                "corrupt Huffman stream (sequential decode): chunk length mismatch"
+            )
     return out
 
 

@@ -116,6 +116,39 @@ class TestWorkflows:
         res = repro.compress(sparse_field_2d, eb=1e-2, workflow="rle+vle")
         assert res.compression_ratio > 32.0
 
+    @pytest.mark.parametrize("wf", ["huffman", "huffman+lz"])
+    def test_one_histogram_pass_per_huffman_compress(self, monkeypatch, field_2d, wf):
+        """The Huffman stage reuses the histogram the selector was given."""
+        import repro.engine.cache as cache_mod
+        from repro.core.archive import ArchiveBuilder, ArchiveReader
+        from repro.core.dual_quant import quantize_field
+        from repro.core.workflow import emit_huffman_sections
+
+        real = cache_mod._histogram
+        calls = []
+
+        def counting(symbols, dict_size):
+            calls.append(np.asarray(symbols).size)
+            return real(symbols, dict_size)
+
+        monkeypatch.setattr(cache_mod, "_histogram", counting)
+        cfg = CompressorConfig(eb=1e-3, workflow=wf)
+        res = repro.compress(field_2d, cfg)
+        assert res.workflow == wf
+        assert calls == [field_2d.size]
+        # Same section bytes as a Huffman stage that histograms on its own.
+        bundle, _ = quantize_field(field_2d, cfg)
+        builder = ArchiveBuilder()
+        emit_huffman_sections(
+            bundle.quant.reshape(-1), cfg.dict_size, cfg.huffman_chunk, builder,
+            lz_stage=wf == "huffman+lz",
+        )
+        assert len(calls) == 2
+        expected = ArchiveReader(builder.to_bytes())
+        got = ArchiveReader(res.archive)
+        for name in expected.names():
+            assert got.get_bytes(name) == expected.get_bytes(name), name
+
 
 class TestReporting:
     def test_result_fields(self, field_2d):

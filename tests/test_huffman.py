@@ -1,5 +1,7 @@
 """Tests for canonical Huffman codebooks and the chunked codec."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from repro.encoding.huffman import (
     build_code_lengths,
     build_codebook,
     build_decode_table,
-    lookup_codes,
+    lookup_lengths,
 )
 from repro.encoding import huffman_codec
 from repro.encoding.huffman_codec import (
@@ -28,6 +30,9 @@ from repro.encoding.huffman_codec import (
 #: ``decode`` and the two regimes it picks between; each entry point must
 #: detect the same corruptions.
 ENTRY_POINTS = [decode, decode_lut_lockstep, decode_lut_jump]
+
+#: Every decoder, the table-free references included.
+ALL_DECODERS = ENTRY_POINTS + [decode_lockstep, decode_sequential]
 
 
 def random_symbols(rng, n, alphabet, skew=1.5):
@@ -117,12 +122,16 @@ class TestCanonicalCodebook:
     def test_lookup_rejects_unknown_symbol(self):
         book = build_codebook(np.array([1, 1, 0, 0]))
         with pytest.raises(CodebookOverflowError):
-            lookup_codes(book, np.array([2], dtype=np.uint16))
+            lookup_lengths(book, np.array([2], dtype=np.uint16))
+        with pytest.raises(CodebookOverflowError):
+            encode(np.array([0, 2], dtype=np.uint16), book, 8)
 
     def test_lookup_rejects_out_of_alphabet(self):
         book = build_codebook(np.array([1, 1]))
         with pytest.raises(CodebookOverflowError):
-            lookup_codes(book, np.array([17], dtype=np.uint16))
+            lookup_lengths(book, np.array([17], dtype=np.uint16))
+        with pytest.raises(CodebookOverflowError):
+            encode(np.array([1, -1]), book, 8)
 
 
 class TestCodecRoundtrip:
@@ -362,3 +371,101 @@ class TestAlignedLayout:
         enc.chunk_offsets = bad.astype(np.uint64)
         with pytest.raises(EncodingError, match="sync points"):
             decode(enc, book)
+
+
+def encode_reference(syms, book, chunk, aligned):
+    """(payload bytes, chunk bits) by concatenating codeword bit strings."""
+    strs = {
+        int(sym): format(int(book.codes[sym]), f"0{int(book.lengths[sym])}b")
+        for sym in np.flatnonzero(book.lengths)
+    }
+    chunks = [
+        "".join(strs[int(sym)] for sym in syms[a : a + chunk])
+        for a in range(0, len(syms), chunk)
+    ]
+
+    def pad(bits):
+        return bits + "0" * (-len(bits) % 8)
+
+    bits = "".join(pad(c) for c in chunks) if aligned else pad("".join(chunks))
+    payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    return payload, [len(c) for c in chunks]
+
+
+class TestSlabbedEncode:
+    """``encode`` packs slabs of whole chunks; every slab shape writes the
+    reference bytes and round-trips through the sequential oracle."""
+
+    @pytest.mark.parametrize("aligned", [False, True], ids=["dense", "aligned"])
+    @pytest.mark.parametrize("slab,n,chunk,book_kind", [
+        (64, 1000, 16, "zipf"),   # 4-chunk slabs, short last slab
+        (64, 1000, 24, "zipf"),   # short last chunk
+        (64, 1000, 10, "zipf"),   # chunk size does not divide the slab
+        (64, 1000, 150, "zipf"),  # chunk larger than a slab
+        (64, 700, 33, "deep"),    # codes of 1..63 bits crossing words
+        (None, 70_000, 3000, "zipf"),  # the module's own slab size
+    ], ids=["whole", "short_last", "no_divide", "big_chunk", "deep", "default"])
+    def test_matches_reference(self, monkeypatch, slab, n, chunk, book_kind, aligned):
+        if slab is not None:
+            monkeypatch.setattr(huffman_codec, "_ENCODE_SLAB_SYMBOLS", slab)
+        rng = np.random.default_rng(n + chunk)
+        if book_kind == "deep":
+            book = CanonicalCodebook.deserialized(bytes(list(range(1, 63)) + [63, 63]))
+            syms = rng.integers(0, 64, n).astype(np.uint16)
+        else:
+            syms = random_symbols(rng, n, 256)
+            book = build_codebook(np.bincount(syms, minlength=256))
+        assert n > huffman_codec._ENCODE_SLAB_SYMBOLS
+        enc = encode(syms, book, chunk, aligned=aligned)
+        payload, chunk_bits = encode_reference(syms, book, chunk, aligned)
+        assert enc.payload.dtype == np.uint8
+        assert enc.payload.tobytes() == payload
+        np.testing.assert_array_equal(enc.chunk_bits, chunk_bits)
+        assert enc.chunk_bits.dtype == np.uint32
+        if aligned:
+            byte_lens = (np.array(chunk_bits) + 7) // 8
+            np.testing.assert_array_equal(
+                enc.chunk_offsets, np.concatenate(([0], np.cumsum(byte_lens)[:-1]))
+            )
+            assert enc.chunk_offsets.dtype == np.uint64
+        else:
+            assert enc.chunk_offsets is None
+        np.testing.assert_array_equal(decode_sequential(enc, book), syms)
+
+    @pytest.mark.parametrize("aligned", [False, True], ids=["dense", "aligned"])
+    def test_peak_memory_is_bounded(self, aligned):
+        # 2**20 symbols at about 3.5 bits each: scratch is one byte per
+        # symbol, the 450 KB payload and one slab, not a few arrays per
+        # coded bit.
+        rng = np.random.default_rng(3)
+        syms = random_symbols(rng, 1 << 20, 64)
+        book = build_codebook(np.bincount(syms, minlength=64))
+        tracemalloc.start()
+        try:
+            enc = encode(syms, book, 4096, aligned=aligned)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 3 <= enc.total_bits / syms.size <= 4
+        assert peak < 32 << 20
+
+
+class TestOverDeclaredStream:
+    """A stream declaring more symbols than its bits hold is rejected, also
+    when its last chunk ends exactly on the payload's last bit, so the extra
+    symbols would decode from zero padding."""
+
+    @pytest.mark.parametrize("extra", [1, 16, 976])
+    @pytest.mark.parametrize("aligned", [False, True], ids=["dense", "aligned"])
+    @pytest.mark.parametrize(
+        "decoder", ALL_DECODERS, ids=lambda f: f.__name__
+    )
+    def test_rejected(self, decoder, aligned, extra):
+        book = build_codebook(np.ones(4, dtype=np.int64))  # four 2-bit codes
+        syms = np.random.default_rng(0).integers(0, 4, 48).astype(np.uint16)
+        enc = encode(syms, book, 1024, aligned=aligned)
+        assert enc.total_bits == enc.payload_bytes * 8 == 96
+        np.testing.assert_array_equal(decoder(enc, book), syms)
+        enc.n_symbols += extra
+        with pytest.raises(EncodingError):
+            decoder(enc, book)
