@@ -32,9 +32,9 @@ from .dual_quant import (
     Quantized,
     fuse_quant_and_outliers,
     quantize_field,
+    reconstruct_fused,
 )
 from .errors import ArchiveError, ConfigError
-from .lorenzo import lorenzo_reconstruct
 from .selector import select_workflow
 from .workflow import (
     emit_huffman_sections,
@@ -466,25 +466,24 @@ def _decompress_impl(
             raise ArchiveError(f"decoded {flat.size} quant-codes, expected {n}")
 
         with tel.span("scatter_outliers") as sp:
-            oidx, oval = _read_outliers(reader, meta["n_outliers"])
+            oidx, oval = _read_outliers(reader, meta["n_outliers"], n)
             fused = fuse_quant_and_outliers(flat, oidx, oval, meta["dict_size"] // 2)
+            del flat  # the codes are dead; free them before reconstruct's peak
             sp.set(n_outliers=meta["n_outliers"])
         with tel.span("reconstruct", predictor=meta["predictor"]) as sp:
+            coeffs = None
             if meta["predictor"] == "regression":
-                from .regression import RegressionCoefficients, predict_from_coefficients
+                from .regression import RegressionCoefficients
 
                 grid = tuple(-(-s // c) for s, c in zip(meta["shape"], meta["chunks"]))
                 coeffs = RegressionCoefficients.deserialized(
                     reader.get_bytes("reg"), grid, meta["chunks"]
                 )
-                dq = predict_from_coefficients(coeffs, meta["shape"]) + fused.reshape(meta["shape"])
-            elif meta["predictor"] == "interp":
-                from .interp import interp_reconstruct
-
-                dq = interp_reconstruct(fused.reshape(meta["shape"]), cubic=True)
-            else:
-                dq = lorenzo_reconstruct(fused.reshape(meta["shape"]), meta["chunks"])
-            out = (dq.astype(np.float64) * meta["eb_twice"]).astype(meta["dtype"])
+            out = reconstruct_fused(
+                fused, meta["shape"], meta["chunks"], meta["predictor"],
+                meta["eb_twice"], meta["dtype"], coeffs,
+            )
+            del fused
             sp.set(bytes_out=int(out.nbytes))
         if reader.has("nan"):
             with tel.span("nan_restore"):
@@ -696,12 +695,27 @@ def _emit_outliers(bundle: Quantized, builder: ArchiveBuilder) -> None:
     builder.add_array("o.val", val.astype(val_dtype))
 
 
-def _read_outliers(reader: ArchiveReader, n_outliers: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = reader.get_array("o.idx").astype(np.int64)
-    val = reader.get_array("o.val").astype(np.int64)
+def _check_outlier_indices(idx: np.ndarray, n_symbols: int) -> None:
+    """Raise :class:`ArchiveError` unless every stored outlier index is an
+    integer in ``[0, n_symbols)`` (decompress and ``verify --deep`` share it)."""
+    if idx.dtype.kind not in "iu":
+        raise ArchiveError(f"outlier index section has non-integer dtype {idx.dtype}")
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= n_symbols):
+        raise ArchiveError(
+            f"outlier index outside the field's {n_symbols} elements "
+            f"(stored range {int(idx.min())}..{int(idx.max())})"
+        )
+
+
+def _read_outliers(
+    reader: ArchiveReader, n_outliers: int, n_symbols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    idx = reader.get_array("o.idx")
+    val = reader.get_array("o.val")
     if idx.size != n_outliers or val.size != n_outliers:
         raise ArchiveError("outlier section size mismatch with header")
-    return idx, val
+    _check_outlier_indices(idx, n_symbols)
+    return idx.astype(np.int64), val.astype(np.int64)
 
 
 def _pack_meta(

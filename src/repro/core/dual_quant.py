@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import CompressorConfig
 from .errors import ConfigError
-from .lorenzo import lorenzo_construct, lorenzo_reconstruct
+from .lorenzo import construct_in_place, lorenzo_construct, reconstruct_in_place
 from .interp import interp_construct, interp_reconstruct
 from .regression import (
     RegressionCoefficients,
@@ -111,19 +111,32 @@ def prequantize(data: np.ndarray, eb_abs: float) -> np.ndarray:
     """
     if eb_abs <= 0:
         raise ConfigError(f"absolute error bound must be positive, got {eb_abs}")
-    scaled = np.asarray(data, dtype=np.float64) / (2.0 * eb_abs)
-    peak = float(np.max(np.abs(scaled), initial=0.0))
+    scaled = np.divide(data, 2.0 * eb_abs, dtype=np.float64)
+    # min and max propagate NaN, so a NaN anywhere makes the peak NaN.
+    peak = max(abs(float(scaled.min())), abs(float(scaled.max()))) if scaled.size else 0.0
     if not np.isfinite(peak) or peak > _MAX_PREQUANT_MAGNITUDE:
         raise ConfigError(
             "error bound too small for the data's value range: prequantized "
             f"magnitude {peak:.3g} exceeds integer headroom"
         )
-    return np.rint(scaled).astype(np.int64)
+    return np.rint(scaled, out=scaled).astype(np.int64)
 
 
 def dequantize(codes: np.ndarray, eb_abs: float, dtype=np.float32) -> np.ndarray:
     """Map prequantized integers back to floating point (Algorithm 1, line 13)."""
-    return (codes.astype(np.float64) * (2.0 * eb_abs)).astype(dtype)
+    return _dequantize(np.asarray(codes), 2.0 * eb_abs, dtype)
+
+
+def _dequantize(codes: np.ndarray, step: float, dtype) -> np.ndarray:
+    """``codes * step`` formed in float64, then cast once to ``dtype``.
+
+    The error-bound proof is about this float64 product, so the multiply
+    runs in float64 and numpy rounds each product to ``dtype`` as it stores
+    it; no full-size float64 temporary is kept for a narrower ``dtype``.
+    """
+    out = np.empty(codes.shape, dtype=dtype)
+    np.multiply(codes, step, out=out, dtype=np.float64, casting="unsafe")
+    return out
 
 
 def postquantize(dq: np.ndarray, chunks: tuple[int, ...], dict_size: int) -> tuple[
@@ -145,13 +158,15 @@ def split_deltas(delta: np.ndarray, dict_size: int) -> tuple[
 ]:
     """Split integer prediction deltas into quant-codes + sparse outliers."""
     radius = dict_size // 2
-    # Capture range: -radius <= delta < radius  =>  0 <= q < dict_size.
-    in_range = (delta >= -radius) & (delta < radius)
-    outlier_indices = np.flatnonzero(~in_range).astype(np.int64)
-    outlier_values = delta.reshape(-1)[outlier_indices].copy()
+    shifted = np.add(delta, radius, dtype=np.int64, order="C")
+    # Capture range: -radius <= delta < radius  <=>  0 <= q < dict_size, one
+    # unsigned test since negative shifted deltas wrap to huge uint64 values.
+    outlier_indices = np.flatnonzero(shifted.view(np.uint64) >= dict_size)
+    outlier_indices = outlier_indices.astype(np.int64, copy=False)
+    outlier_values = delta.reshape(-1)[outlier_indices]
+    shifted.reshape(-1)[outlier_indices] = radius
     quant_dtype = np.uint16 if dict_size <= np.iinfo(np.uint16).max + 1 else np.uint32
-    quant = np.where(in_range, delta + radius, radius).astype(quant_dtype)
-    return quant, outlier_indices, outlier_values
+    return shifted.astype(quant_dtype), outlier_indices, outlier_values
 
 
 def fuse_quant_and_outliers(
@@ -165,9 +180,10 @@ def fuse_quant_and_outliers(
     ``q' = (q - radius)`` everywhere, then outlier positions -- which carry
     the neutral placeholder, i.e. ``q' = 0`` -- are overwritten with their
     stored deltas.  The result feeds the partial-sum reconstruction with no
-    branching, the key enabler of fine-grained decompression.
+    branching, the key enabler of fine-grained decompression.  It is a new
+    C-order int64 array, which :func:`reconstruct_fused` may consume.
     """
-    fused = quant.astype(np.int64) - radius
+    fused = np.subtract(quant, radius, dtype=np.int64, order="C")
     if outlier_indices.size:
         fused.reshape(-1)[outlier_indices] = outlier_values
     return fused
@@ -212,7 +228,7 @@ def quantize_field(data: np.ndarray, config: CompressorConfig) -> tuple[Quantize
             raise ConfigError("interp predictor supports 1..3-D data")
         quant, oidx, oval = split_deltas(interp_construct(dq, cubic=True), config.dict_size)
     else:
-        quant, oidx, oval = postquantize(dq, chunks, config.dict_size)
+        quant, oidx, oval = split_deltas(construct_in_place(dq, chunks), config.dict_size)
     bundle = Quantized(
         quant=quant,
         outlier_indices=oidx,
@@ -257,13 +273,34 @@ def reconstruct_field(bundle: Quantized, dtype=np.float32) -> np.ndarray:
     fused = fuse_quant_and_outliers(
         bundle.quant, bundle.outlier_indices, bundle.outlier_values, bundle.radius
     )
-    if bundle.predictor == "regression":
-        if bundle.reg_coeffs is None:
+    return reconstruct_fused(
+        fused, bundle.shape, bundle.chunks, bundle.predictor, bundle.eb_twice, dtype,
+        bundle.reg_coeffs,
+    )
+
+
+def reconstruct_fused(
+    fused: np.ndarray,
+    shape: tuple[int, ...],
+    chunks: tuple[int, ...],
+    predictor: str,
+    eb_twice: float,
+    dtype,
+    reg_coeffs: RegressionCoefficients | None = None,
+) -> np.ndarray:
+    """Predict+sum -> dequantize a fused delta array (Algorithm 1, lines 10-13).
+
+    ``fused`` is what :func:`fuse_quant_and_outliers` returned, and this
+    call consumes it: the Lorenzo partial sums and the regression
+    correction run in place in it.
+    """
+    dq = fused.reshape(shape)
+    if predictor == "regression":
+        if reg_coeffs is None:
             raise ConfigError("regression bundle is missing its coefficients")
-        pred = predict_from_coefficients(bundle.reg_coeffs, bundle.shape)
-        dq = pred + fused.reshape(bundle.shape)
-    elif bundle.predictor == "interp":
-        dq = interp_reconstruct(fused.reshape(bundle.shape), cubic=True)
+        dq += predict_from_coefficients(reg_coeffs, shape)
+    elif predictor == "interp":
+        dq = interp_reconstruct(dq, cubic=True)
     else:
-        dq = lorenzo_reconstruct(fused.reshape(bundle.shape), bundle.chunks)
-    return (dq.astype(np.float64) * bundle.eb_twice).astype(dtype)
+        reconstruct_in_place(dq, chunks)
+    return _dequantize(dq, eb_twice, dtype)

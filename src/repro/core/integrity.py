@@ -209,7 +209,7 @@ def verify_archive(blob: bytes, deep: bool = True) -> IntegrityReport:
 
 def _verify_single_field(reader) -> None:
     """Metadata/section cross-checks for one compressed field (no decode)."""
-    from .compressor import _unpack_meta
+    from .compressor import _check_outlier_indices, _unpack_meta
 
     meta = _unpack_meta(reader.get_bytes("meta"))
     for name in ("o.idx", "o.val"):
@@ -219,6 +219,7 @@ def _verify_single_field(reader) -> None:
                 f"outlier section {name!r} holds {arr.size} entries, "
                 f"header says {meta['n_outliers']}"
             )
+    _check_outlier_indices(reader.get_array("o.idx"), meta["n_symbols"])
     if meta["workflow"] in ("rle", "rle+vle") and reader.has("r.len"):
         n_lens = reader.get_array("r.len").size
         if n_lens != meta["n_runs"]:

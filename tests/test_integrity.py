@@ -201,3 +201,53 @@ class TestVerifyArchive:
             comp, "_decompress_impl", lambda *a, **k: pytest.fail("decode called")
         )
         verify_archive(res.archive, deep=True)
+
+
+class TestOutlierIndexRange:
+    """Outlier indices must address the field: a crafted archive with valid
+    CRCs but an index outside ``[0, n)`` is an ArchiveError in both
+    ``decompress`` and ``verify --deep``, never an IndexError or a silent
+    write through a negative index."""
+
+    @staticmethod
+    def _with_outlier_index(blob: bytes, index: int, dtype) -> bytes:
+        reader = ArchiveReader(blob)
+        builder = ArchiveBuilder()
+        for name in reader.names():
+            try:
+                arr = reader.get_array(name)
+            except ArchiveError:  # an untyped byte section
+                builder.add_bytes(name, reader.get_bytes(name))
+                continue
+            if name == "o.idx":
+                arr = arr.astype(dtype)
+                arr[0] = index
+            builder.add_array(name, arr)
+        return builder.to_bytes()
+
+    @pytest.fixture(scope="class")
+    def archive(self):
+        rng = np.random.default_rng(0)
+        walk = np.cumsum(rng.normal(0, 1, 4096)).astype(np.float32)
+        res = repro.compress(walk, eb=1e-4, dict_size=64)
+        assert res.n_outliers > 0
+        assert ArchiveReader(res.archive).get_array("o.idx").dtype == np.uint32
+        return res.archive
+
+    @pytest.mark.parametrize("index,dtype", [
+        (10**6, np.uint32),  # past the 4,096 elements
+        (4096, np.uint32),  # one past the last element
+        (-1, np.int64),  # the int64 layout of fields above 2^32 elements
+    ], ids=["far", "one_past", "negative"])
+    def test_rejected_by_decompress_and_deep_verify(self, archive, index, dtype):
+        crafted = self._with_outlier_index(archive, index, dtype)
+        with pytest.raises(ArchiveError, match="outlier index"):
+            repro.decompress(crafted)
+        with pytest.raises(ArchiveError, match="outlier index"):
+            verify_archive(crafted, deep=True)
+
+    def test_last_element_index_accepted(self, archive):
+        """The check is exact: index n - 1 stays valid."""
+        crafted = self._with_outlier_index(archive, 4095, np.uint32)
+        verify_archive(crafted, deep=True)
+        assert repro.decompress(crafted).shape == (4096,)

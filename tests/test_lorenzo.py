@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.errors import DimensionalityError
 from repro.core.lorenzo import (
+    _LONG_CHUNK,
     chunked_cumsum,
     chunked_diff,
     lorenzo_construct,
@@ -15,6 +16,33 @@ from repro.core.lorenzo import (
     lorenzo_reconstruct,
     lorenzo_reconstruct_sequential,
 )
+
+#: Largest extent drawn per axis, innermost last: the innermost axis reaches
+#: past two chunks of ``_LONG_CHUNK`` so its long form runs with a tail, and
+#: the oracles stay fast on the other axes.
+_EXTENTS = {1: (60,), 2: (12, 30), 3: (6, 6, 30), 4: (4, 4, 4, 30)}
+
+
+@st.composite
+def ragged_cases(draw):
+    """(int64 array, chunks, layout): 1-4D, any extents, chunks from 1 to
+    past the extent, so each axis takes the slice form, the long form and
+    the tail path across draws."""
+    ndim = draw(st.integers(1, 4))
+    shape = tuple(draw(st.integers(1, top)) for top in _EXTENTS[ndim])
+    chunks = tuple(draw(st.integers(1, n + 3)) for n in shape)
+    x = draw(hnp.arrays(np.int64, shape, elements=st.integers(-10**6, 10**6)))
+    return x, chunks, draw(st.sampled_from(["C", "F", "negative"]))
+
+
+def with_layout(x: np.ndarray, layout: str) -> np.ndarray:
+    """The values of ``x`` in C order, Fortran order, or as a view with a
+    negative stride on every axis."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "negative":
+        return np.flip(np.flip(x).copy())
+    return np.ascontiguousarray(x)
 
 
 class TestChunkedDiffCumsum:
@@ -78,6 +106,8 @@ class TestLorenzoConstructReconstruct:
             ((9, 7, 5), (4, 4, 4)),
             ((8, 8, 8), (8, 8, 8)),
             ((3, 4, 5, 6), (2, 2, 2, 2)),
+            ((1000,), (256,)),
+            ((37, 50), (16, 16)),
         ],
     )
     def test_roundtrip_exact(self, shape, chunks):
@@ -88,7 +118,14 @@ class TestLorenzoConstructReconstruct:
 
     @pytest.mark.parametrize(
         "shape,chunks",
-        [((20,), (8,)), ((7, 9), (4, 4)), ((5, 6, 4), (4, 4, 4))],
+        [
+            ((20,), (8,)),
+            ((7, 9), (4, 4)),
+            ((5, 6, 4), (4, 4, 4)),
+            ((40,), (_LONG_CHUNK,)),  # long form with a tail of 4
+            ((5, 29), (2, _LONG_CHUNK + 1)),  # slice form, long form, both tails
+            ((3, 4, 3, 26), (2, 3, 5, _LONG_CHUNK)),  # 4-D, chunk past an extent
+        ],
     )
     def test_construct_matches_sequential_reference(self, shape, chunks):
         """The vectorized N-pass diff equals the explicit Lorenzo formula."""
@@ -100,7 +137,14 @@ class TestLorenzoConstructReconstruct:
 
     @pytest.mark.parametrize(
         "shape,chunks",
-        [((20,), (8,)), ((7, 9), (4, 4)), ((5, 6, 4), (4, 4, 4))],
+        [
+            ((20,), (8,)),
+            ((7, 9), (4, 4)),
+            ((5, 6, 4), (4, 4, 4)),
+            ((40,), (_LONG_CHUNK,)),
+            ((5, 29), (2, _LONG_CHUNK + 1)),
+            ((3, 4, 3, 26), (2, 3, 5, _LONG_CHUNK)),
+        ],
     )
     def test_partial_sum_theorem(self, shape, chunks):
         """Paper Section IV-B.2: partial-sum == sequential Lorenzo reconstruction."""
@@ -155,3 +199,25 @@ class TestLorenzoConstructReconstruct:
         )
         delta = lorenzo_construct(x, chunks)
         np.testing.assert_array_equal(lorenzo_reconstruct(delta, chunks), x)
+
+    @given(case=ragged_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_construct_matches_oracle_in_any_layout(self, case):
+        """The blocked passes equal the explicit Lorenzo formula on C,
+        Fortran and negative-stride inputs, and leave the input as it was."""
+        x, chunks, layout = case
+        src = with_layout(x, layout)
+        out = lorenzo_construct(src, chunks)
+        np.testing.assert_array_equal(out, lorenzo_predict_sequential(x, chunks))
+        np.testing.assert_array_equal(src, x)
+
+    @given(case=ragged_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_reconstruct_matches_oracle_in_any_layout(self, case):
+        """The blocked partial sums equal the sequential reconstruction on
+        C, Fortran and negative-stride inputs, and leave the input as it was."""
+        delta, chunks, layout = case
+        src = with_layout(delta, layout)
+        out = lorenzo_reconstruct(src, chunks)
+        np.testing.assert_array_equal(out, lorenzo_reconstruct_sequential(delta, chunks))
+        np.testing.assert_array_equal(src, delta)
