@@ -25,7 +25,6 @@ from .core.compressor import (
 )
 from .core.config import CompressorConfig, SelectorDiagnostics
 from .core.integrity import IntegrityReport, verify_archive
-from .core.pwrel import compress_pwrel
 from .core.streaming import (
     StreamingCompressor,
     compress_blocks,
@@ -47,7 +46,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "compress",
-    "compress_pwrel",
     "compress_blocks",
     "decompress",
     "decompress_blocks",

@@ -13,7 +13,6 @@ Subcommands::
     python -m repro profile    [--scenario smoke] [--fold out.folded]
     python -m repro diagnose   [--json]
     python -m repro conformance generate|check [--dir tests/vectors]
-    python -m repro obs        serve [--port 9464] [--once]
     python -m repro obs        report [LEDGER.jsonl]
     python -m repro obs        scaling --jobs 1,2,4 --backends thread,process
     python -m repro serve      [--port 8077] [--backend process] [-j 4]
@@ -251,20 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser(
         "obs",
-        help="continuous observability: run-ledger reports, the /metrics "
-             "endpoint, and engine scaling diagnostics",
+        help="continuous observability: run-ledger reports and engine "
+             "scaling diagnostics",
     )
     obs_sub = po.add_subparsers(dest="obs_command", required=True)
-    pose = obs_sub.add_parser(
-        "serve",
-        help="serve the metrics registry over HTTP (/metrics Prometheus "
-             "text, /metrics.json JSON)",
-    )
-    pose.add_argument("--host", default="127.0.0.1")
-    pose.add_argument("--port", type=int, default=9464)
-    pose.add_argument("--once", action="store_true",
-                      help="print one Prometheus exposition to stdout and "
-                           "exit instead of serving")
     porp = obs_sub.add_parser(
         "report",
         help="aggregate a run ledger into per-stage/per-workflow summaries",
@@ -795,13 +784,15 @@ def _cmd_profile(args) -> int:
 def _cmd_conformance(args) -> int:
     from .conformance import check_corpus, generate_corpus
     from .conformance.corpus import default_vector_dir
+    from .core.archive import VERSION
 
     if args.conformance_command == "generate":
         out_dir = args.out or default_vector_dir()
         manifest = generate_corpus(out_dir)
-        total = sum(e["archive_bytes"] for e in manifest["vectors"])
-        print(f"wrote {manifest['n_vectors']} vectors "
-              f"({total} archive bytes) + {out_dir}/manifest.json")
+        built = [e for e in manifest["vectors"] if e["version"] == VERSION]
+        total = sum(e["archive_bytes"] for e in built)
+        print(f"wrote {len(built)} vectors ({total} archive bytes) + "
+              f"{out_dir}/manifest.json ({manifest['n_vectors']} entries)")
         return 0
 
     report = check_corpus(args.vector_dir, jobs=args.jobs, backend=args.backend)
@@ -813,24 +804,9 @@ def _cmd_conformance(args) -> int:
 
 
 def _cmd_obs(args) -> int:
-    if args.obs_command == "serve":
-        return _cmd_obs_serve(args)
     if args.obs_command == "report":
         return _cmd_obs_report(args)
     return _cmd_obs_scaling(args)
-
-
-def _cmd_obs_serve(args) -> int:
-    from .telemetry.exposition import serve_forever
-    from .telemetry.metrics import render_prometheus
-
-    if args.once:
-        sys.stdout.write(render_prometheus())
-        return 0
-    print(f"serving metrics on http://{args.host}:{args.port}/metrics "
-          f"(JSON at /metrics.json); Ctrl-C to stop", file=sys.stderr)
-    serve_forever(host=args.host, port=args.port)
-    return 0
 
 
 def _cmd_obs_report(args) -> int:

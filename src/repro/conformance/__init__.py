@@ -3,10 +3,11 @@
 Three tools that together pin the *on-disk* archive format against drift:
 
 * :mod:`repro.conformance.corpus` -- generates the committed golden-vector
-  corpus under ``tests/vectors/``: tiny archives spanning format versions,
-  container kinds, workflows, dtypes and dimensionalities, plus a
-  ``manifest.json`` recording SHA-256 digests of each archive and of its
-  decoded output.
+  corpus under ``tests/vectors/``: tiny archives spanning container kinds,
+  workflows, dtypes and dimensionalities, plus a ``manifest.json``
+  recording SHA-256 digests of each archive and of its decoded output.
+  Format v3 vectors are rebuilt; the v1/v2 ones are frozen decode-only
+  fixtures.
 * :mod:`repro.conformance.check` -- decodes every committed vector and
   verifies byte-exact archive and output digests, error-bound satisfaction,
   and serial-vs-parallel encoder identity, with a diff report that names

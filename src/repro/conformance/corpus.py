@@ -3,8 +3,8 @@
 Every vector is a tiny archive (16--64-element field) produced by one point
 of the format matrix
 
-    {format v1, v2, v3} x {single, blocks, pwrel} x
-    {huffman, rle, rle+vle, huffman+lz} x {f4, f8} x {1D, 2D, 3D}
+    {single, blocks, pwrel} x {huffman, rle, rle+vle, huffman+lz} x
+    {f4, f8} x {1D, 2D, 3D}
 
 The single-field container carries the full workflow/dtype/dimensionality
 cross product; the blocks and pwrel containers cover every axis value in a
@@ -12,11 +12,16 @@ reduced combination set (their inner payloads reuse the single-field layout,
 so the cross product there would re-test the same bytes while tripling the
 committed corpus size).
 
+:data:`CORPUS` holds the format-v3 specs, the only format the library
+writes.  The committed corpus also keeps the same matrix in formats v1 and
+v2, written by earlier releases: those are frozen decode-only fixtures that
+no code here can rebuild, and :func:`generate_corpus` carries them over
+untouched.
+
 Byte stability across machines is what makes the corpus a compatibility
-oracle, so generation runs under :func:`repro.core.archive.pinned_format`
-with CRC-32 (always available, identical everywhere) rather than the
-host-dependent default checksum, and all field data comes from seeded
-``numpy`` generators whose streams are stable across versions.
+oracle: archives are always stamped with CRC-32 (identical on every host),
+and all field data comes from seeded ``numpy`` generators whose streams are
+stable across versions.
 
 Regenerate with ``python -m repro conformance generate`` -- but note the
 policy: committed vectors only change together with an explicit archive
@@ -32,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.archive import pinned_format
+from ..core.archive import VERSION
 from ..core.compressor import compress
 from ..core.config import CompressorConfig
 from ..core.integrity import ALGO_CRC32, ALGO_NAMES
@@ -50,10 +55,6 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-
-#: Checksum algorithm pinned into every vector (CRC-32: available and
-#: byte-identical on every host, unlike the native-dependent CRC-32C).
-VECTOR_CHECKSUM_ALGO = ALGO_CRC32
 
 #: Workflow name -> filename-safe slug.
 _WORKFLOW_SLUGS = {
@@ -74,7 +75,7 @@ _DICT_SIZE = 64
 class VectorSpec:
     """One point of the conformance matrix (fully determines the bytes)."""
 
-    version: int  # archive format version: 1, 2 or 3
+    version: int  # archive format version: 3 (1 and 2: frozen fixtures)
     container: str  # "single" | "blocks" | "pwrel"
     workflow: str  # "huffman" | "rle" | "rle+vle" | "huffman+lz"
     dtype: str  # "f4" | "f8"
@@ -114,8 +115,8 @@ class VectorSpec:
 
 def _full_cross(container: str) -> list[VectorSpec]:
     return [
-        VectorSpec(version=v, container=container, workflow=wf, dtype=dt, ndim=nd)
-        for v in (1, 2, 3)
+        VectorSpec(version=VERSION, container=container, workflow=wf, dtype=dt,
+                   ndim=nd)
         for wf in ("huffman", "rle", "rle+vle", "huffman+lz")
         for dt in ("f4", "f8")
         for nd in (1, 2, 3)
@@ -125,19 +126,19 @@ def _full_cross(container: str) -> list[VectorSpec]:
 def _axis_cover(container: str) -> list[VectorSpec]:
     """Cover every workflow, dtype and ndim for ``container`` without the
     full cross product (the inner archives reuse the single-field layout)."""
-    specs = []
-    for v in (1, 2, 3):
-        for wf in ("huffman", "rle", "rle+vle", "huffman+lz"):
-            specs.append(VectorSpec(version=v, container=container, workflow=wf,
-                                    dtype="f4", ndim=2))
-        specs.append(VectorSpec(version=v, container=container, workflow="huffman",
-                                dtype="f8", ndim=1))
-        specs.append(VectorSpec(version=v, container=container, workflow="rle",
-                                dtype="f8", ndim=3))
+    specs = [
+        VectorSpec(version=VERSION, container=container, workflow=wf, dtype="f4",
+                   ndim=2)
+        for wf in ("huffman", "rle", "rle+vle", "huffman+lz")
+    ]
+    specs.append(VectorSpec(version=VERSION, container=container, workflow="huffman",
+                            dtype="f8", ndim=1))
+    specs.append(VectorSpec(version=VERSION, container=container, workflow="rle",
+                            dtype="f8", ndim=3))
     return specs
 
 
-#: The committed corpus, in manifest order.
+#: The buildable (format-v3) corpus, in manifest order.
 CORPUS: list[VectorSpec] = (
     _full_cross("single") + _axis_cover("blocks") + _axis_cover("pwrel")
 )
@@ -175,27 +176,32 @@ def spec_config(spec: VectorSpec) -> CompressorConfig:
 def build_vector(
     spec: VectorSpec, jobs: int | None = None, backend: str | None = None
 ) -> bytes:
-    """Produce the archive bytes for one spec (pinned format + checksum).
+    """Produce the archive bytes for one format-v3 spec.
 
     ``jobs``/``backend`` route encoding through a
     :class:`~repro.engine.CompressionEngine` worker pool; the result must
     be byte-identical to the serial build -- the checker asserts exactly
-    that, for every backend.
+    that, for every backend.  v1/v2 specs are rejected: no writer for those
+    formats is left, so their committed vectors are decode-only fixtures.
     """
+    if spec.version != VERSION:
+        raise ValueError(
+            f"{spec.name}: format v{spec.version} vectors are frozen "
+            f"decode-only fixtures; only v{VERSION} vectors can be built"
+        )
     field = make_field(spec)
     config = spec_config(spec)
-    with pinned_format(version=spec.version, checksum_algo=VECTOR_CHECKSUM_ALGO):
-        if spec.container == "blocks":
-            return compress_blocks(
-                field, config, max_block_bytes=spec.block_bytes,
-                jobs=jobs, backend=backend,
-            )
-        if backend is not None or (jobs is not None and jobs != 1):
-            from ..engine.backends import get_executor
+    if spec.container == "blocks":
+        return compress_blocks(
+            field, config, max_block_bytes=spec.block_bytes,
+            jobs=jobs, backend=backend,
+        )
+    if backend is not None or (jobs is not None and jobs != 1):
+        from ..engine.backends import get_executor
 
-            with get_executor(backend, jobs=jobs, config=config) as engine:
-                return engine.submit(field, config).result().archive
-        return compress(field, config).archive
+        with get_executor(backend, jobs=jobs, config=config) as engine:
+            return engine.submit(field, config).result().archive
+    return compress(field, config).archive
 
 
 def _sha256(data: bytes) -> str:
@@ -225,21 +231,23 @@ def _repo_relative_dir() -> Path:
 
 
 def generate_corpus(out_dir: Path | str) -> dict:
-    """Write every corpus vector plus ``manifest.json`` into ``out_dir``.
+    """Write every :data:`CORPUS` vector plus ``manifest.json`` into ``out_dir``.
 
-    Returns the manifest dict.  Existing vector files are overwritten --
-    the caller (CLI / tests) owns the don't-rewrite-history policy.
+    Returns the manifest dict.  Existing v3 vector files are overwritten --
+    the caller (CLI / tests) owns the don't-rewrite-history policy.  Frozen
+    (v1/v2) entries already in ``out_dir``'s manifest are carried over, with
+    their files left alone, and keep their place in the manifest order.
     """
     from ..core.compressor import decompress
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
+    fresh = {}
     for spec in CORPUS:
         blob = build_vector(spec)
         out = decompress(blob)
         (out_dir / spec.filename).write_bytes(blob)
-        entries.append({
+        fresh[spec.name] = {
             **asdict(spec),
             "name": spec.name,
             "file": spec.filename,
@@ -250,7 +258,15 @@ def generate_corpus(out_dir: Path | str) -> dict:
             "archive_sha256": _sha256(blob),
             "output_sha256": output_digest(out),
             "output_dtype": out.dtype.name,
-        })
+        }
+    entries = []
+    if (out_dir / MANIFEST_NAME).exists():
+        for entry in load_manifest(out_dir)["vectors"]:
+            if entry["version"] != VERSION:
+                entries.append(entry)
+            elif entry["name"] in fresh:
+                entries.append(fresh.pop(entry["name"]))
+    entries.extend(fresh.values())
     manifest = {
         "_format": "repro.conformance/v1",
         "_regenerate": "PYTHONPATH=src python -m repro conformance generate",
@@ -259,7 +275,7 @@ def generate_corpus(out_dir: Path | str) -> dict:
             "change together with an explicit archive format version bump. "
             "See docs/testing.md."
         ),
-        "checksum_algo": ALGO_NAMES[VECTOR_CHECKSUM_ALGO],
+        "checksum_algo": ALGO_NAMES[ALGO_CRC32],
         "n_vectors": len(entries),
         "vectors": entries,
     }

@@ -19,9 +19,9 @@ corpus cannot (the corpus pins bytes; these pin behavior):
 * **serial/parallel identity** -- a ``jobs=N`` engine produces the same
   container bytes as the serial path;
 * **decoder agreement** -- the two-level LUT decoder and each of its two
-  regimes (cross-chunk lockstep and pointer jumping), the lockstep
-  ``searchsorted`` decoder, and the bit-by-bit sequential reference decode
-  every Huffman stream of an archive to byte-identical symbols;
+  regimes (cross-chunk lockstep and pointer jumping) decode every Huffman
+  stream of an archive to the same symbols as the bit-by-bit sequential
+  reference;
 * **decode serial/parallel identity** -- ``decompress(jobs=N)`` over a
   format-v3 indexed payload reconstructs the byte-identical array;
 * **backend identity** -- the ``serial``, ``thread``, and ``process``
@@ -222,16 +222,15 @@ def check_decoder_agreement(
     Encodes the field's quant-code stream -- the very symbols the archive
     carries under ``config`` -- through both payload layouts (dense v1/v2
     and byte-aligned v3 with sync points) and decodes each with the LUT
-    decoder, each of its regimes called directly, the table-free lockstep
-    decoder and the sequential reference.  Every reconstruction must be
-    byte-identical to the symbols that went in; any divergence means one
-    decoder misreads a bitstream the others accept.
+    decoder, each of its regimes called directly, and the sequential
+    reference.  Every reconstruction must be byte-identical to the symbols
+    that went in; any divergence means one decoder misreads a bitstream the
+    others accept.
     """
     from ..core.dual_quant import quantize_field
     from ..engine.cache import cached_codebook, cached_histogram
     from ..encoding.huffman_codec import (
         decode,
-        decode_lockstep,
         decode_lut_jump,
         decode_lut_lockstep,
         decode_sequential,
@@ -243,7 +242,6 @@ def check_decoder_agreement(
         "LUT": decode,
         "LUT lockstep-regime": decode_lut_lockstep,
         "LUT jump-regime": decode_lut_jump,
-        "lockstep": decode_lockstep,
     }
     bundle, _ = quantize_field(np.asarray(field), config)
     symbols = bundle.quant.reshape(-1)

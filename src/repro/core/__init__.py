@@ -12,7 +12,6 @@ from .compressor import (
 from .config import CompressorConfig, SelectorDiagnostics
 from .inspect import ArchiveStats, inspect_archive
 from .integrity import IntegrityReport, verify_archive
-from .pwrel import compress_pwrel
 from .streaming import (
     StreamingCompressor,
     compress_blocks,
@@ -26,7 +25,6 @@ __all__ = [
     "decompress",
     "decompress_with_stats",
     "sniff_container",
-    "compress_pwrel",
     "Compressor",
     "CompressorConfig",
     "CompressionResult",

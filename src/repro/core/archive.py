@@ -15,12 +15,14 @@ therefore detected *before* it reaches Huffman decode and raises a typed
 :class:`IntegrityError`/:class:`ArchiveError` instead of silently decoding
 to garbage.
 
-Format **v3** (the default) keeps the v2 container byte layout unchanged --
-only the header's version field differs -- and signals *indexed Huffman
-payloads*: every Huffman chunk starts at a byte boundary and a sync-point
-section (``<prefix>.idx``, per-chunk byte offsets) accompanies each
-bitstream, so chunk groups decode independently and in parallel
-(arXiv:2201.09118's gap array).  v1 and v2 archives remain readable.
+Format **v3** keeps the v2 container byte layout unchanged -- only the
+header's version field differs -- and signals *indexed Huffman payloads*:
+every Huffman chunk starts at a byte boundary and a sync-point section
+(``<prefix>.idx``, per-chunk byte offsets) accompanies each bitstream, so
+chunk groups decode independently and in parallel (arXiv:2201.09118's gap
+array).  :class:`ArchiveBuilder` writes v3 with CRC-32 and nothing else;
+v1 and v2 archives are read-only (:class:`ArchiveReader` still parses and
+verifies them).
 
 The layout is deliberately explicit (struct-packed, little-endian) rather
 than pickle/JSON so archives are portable and their size is deterministic.
@@ -29,22 +31,18 @@ than pickle/JSON so archives are portable and their size is deterministic.
 from __future__ import annotations
 
 import struct
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArchiveError, IntegrityError
-from .integrity import ALGO_NAMES, DEFAULT_ALGO, checksum
+from .integrity import ALGO_CRC32, ALGO_NAMES, checksum
 
 __all__ = [
     "ArchiveBuilder",
     "ArchiveReader",
     "MAGIC",
     "VERSION",
-    "current_pinned_format",
-    "pinned_format",
 ]
 
 MAGIC = b"RPRSZP1\x00"
@@ -64,47 +62,6 @@ _DIGEST = struct.Struct("<I")
 
 #: dtype tag for raw (untyped) byte sections.
 _RAW = b"raw"
-
-#: (version, checksum_algo) defaults pinned by :func:`pinned_format`; ``None``
-#: entries fall through to ``VERSION`` / ``DEFAULT_ALGO``.  A ContextVar so
-#: the pin survives into engine workers (they run in a copy of the submitting
-#: context) without threading a parameter through every producer.
-_PINNED_FORMAT: ContextVar[tuple[int | None, int | None]] = ContextVar(
-    "repro_pinned_archive_format", default=(None, None)
-)
-
-
-@contextmanager
-def pinned_format(version: int | None = None, checksum_algo: int | None = None):
-    """Pin the format every :class:`ArchiveBuilder` in this context writes.
-
-    Producers that do not pass an explicit ``version``/``checksum_algo`` --
-    which is all of them: :func:`repro.compress`, the block/streaming
-    containers, the pwrel wrapper, and checkpoint writers -- pick up the
-    pinned values instead of the library defaults.  The conformance corpus
-    generator uses this to emit byte-stable v1 *and* v2 archives with a
-    fixed checksum algorithm regardless of which CRC implementation the
-    host happens to have installed.  Engine workers inherit the pin because
-    jobs run in a copy of the submitting context.
-    """
-    if version is not None and version not in (1, 2, 3):
-        raise ArchiveError(f"cannot pin archive version {version}")
-    if checksum_algo is not None and checksum_algo not in ALGO_NAMES:
-        raise ArchiveError(f"unknown checksum algorithm id {checksum_algo}")
-    token = _PINNED_FORMAT.set((version, checksum_algo))
-    try:
-        yield
-    finally:
-        _PINNED_FORMAT.reset(token)
-
-
-def current_pinned_format() -> tuple[int | None, int | None]:
-    """The ``(version, checksum_algo)`` pinned in this context, if any.
-
-    The engine's process backend captures this at submit time and re-pins it
-    inside worker processes, which (unlike engine threads) do not inherit the
-    submitting context."""
-    return _PINNED_FORMAT.get()
 
 
 def _dtype_tag(dtype: np.dtype) -> bytes:
@@ -133,35 +90,13 @@ class _Section:
 class ArchiveBuilder:
     """Accumulate named sections and serialize to one byte blob.
 
-    Writes format v3 by default; ``version=2`` keeps the same checksummed
-    container without the indexed-payload marker, ``version=1`` produces the
-    legacy checksum-free layout (compatibility tests, size experiments).
-    Arguments
-    left as ``None`` honor an enclosing :func:`pinned_format` context before
-    falling back to ``VERSION`` / the environment's default checksum.
+    Always writes format v3 with CRC-32 section checksums and header digest,
+    so an archive's bytes depend only on its sections, never on the host.
     """
 
-    def __init__(self, version: int | None = None, checksum_algo: int | None = None) -> None:
-        pin_version, pin_algo = _PINNED_FORMAT.get()
-        if version is None:
-            version = pin_version if pin_version is not None else VERSION
-        if checksum_algo is None:
-            checksum_algo = pin_algo
-        if version not in (1, 2, 3):
-            raise ArchiveError(f"cannot write archive version {version}")
-        algo = DEFAULT_ALGO if checksum_algo is None else checksum_algo
-        if algo not in ALGO_NAMES:
-            raise ArchiveError(f"unknown checksum algorithm id {algo}")
-        self._version = version
-        self._algo = algo
+    def __init__(self) -> None:
         self._sections: list[_Section] = []
         self._names: set[str] = set()
-
-    @property
-    def version(self) -> int:
-        """The format version this builder writes (producers branch on it:
-        >= 3 means Huffman payloads are emitted indexed/byte-aligned)."""
-        return self._version
 
     def add_bytes(self, name: str, payload: bytes) -> "ArchiveBuilder":
         """Add an untyped byte section."""
@@ -185,9 +120,7 @@ class ArchiveBuilder:
         self._sections.append(_Section(name, dtype, payload))
 
     def to_bytes(self) -> bytes:
-        """Serialize header + section table (+ digest) + payloads."""
-        if self._version == 1:
-            return self._to_bytes_v1()
+        """Serialize header + section table + digest + payloads."""
         payload_total = sum(len(s.payload) for s in self._sections)
         total = (
             _HEADER_V2.size
@@ -196,7 +129,7 @@ class ArchiveBuilder:
             + payload_total
         )
         parts = [
-            _HEADER_V2.pack(MAGIC, self._version, len(self._sections), self._algo, 0, total)
+            _HEADER_V2.pack(MAGIC, VERSION, len(self._sections), ALGO_CRC32, 0, total)
         ]
         for s in self._sections:
             parts.append(
@@ -204,21 +137,11 @@ class ArchiveBuilder:
                     s.name.encode().ljust(16, b"\x00"),
                     s.dtype.ljust(8, b"\x00"),
                     len(s.payload),
-                    checksum(s.payload, self._algo),
+                    checksum(s.payload, ALGO_CRC32),
                 )
             )
         head_and_table = b"".join(parts)
-        parts.append(_DIGEST.pack(checksum(head_and_table, self._algo)))
-        for s in self._sections:
-            parts.append(s.payload)
-        return b"".join(parts)
-
-    def _to_bytes_v1(self) -> bytes:
-        parts = [_HEADER_V1.pack(MAGIC, 1, len(self._sections))]
-        for s in self._sections:
-            parts.append(_ENTRY_V1.pack(s.name.encode().ljust(16, b"\x00"),
-                                        s.dtype.ljust(8, b"\x00"),
-                                        len(s.payload)))
+        parts.append(_DIGEST.pack(checksum(head_and_table, ALGO_CRC32)))
         for s in self._sections:
             parts.append(s.payload)
         return b"".join(parts)
@@ -229,9 +152,7 @@ class ArchiveBuilder:
 
     @property
     def overhead_bytes(self) -> int:
-        """Header + section-table (+ digest) bytes: the container's footprint."""
-        if self._version == 1:
-            return _HEADER_V1.size + _ENTRY_V1.size * len(self._sections)
+        """Header + section-table + digest bytes: the container's footprint."""
         return _HEADER_V2.size + _ENTRY_V2.size * len(self._sections) + _DIGEST.size
 
 

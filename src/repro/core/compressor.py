@@ -371,9 +371,7 @@ def sniff_container(blob: bytes) -> str:
     )
 
 
-def decompress(
-    blob: bytes, jobs: int | None = None, backend=None, engine=None
-) -> np.ndarray:
+def decompress(blob: bytes, jobs: int | None = None, backend=None) -> np.ndarray:
     """Reconstruct the original-shaped array from any archive blob.
 
     This is the single front door: it sniffs the container kind (single
@@ -390,27 +388,16 @@ def decompress(
     (``"serial"``/``"thread"``/``"process"``), or reuses a caller-owned
     engine passed in its place.  The output is identical to the serial
     decode regardless of backend and worker count.
-
-    .. deprecated:: the ``engine=`` keyword; pass the engine as ``backend=``.
     """
-    from ..engine.backends import deprecate_engine_kwarg
-
-    if engine is not None and backend is None:
-        backend = deprecate_engine_kwarg("decompress", engine)
     return decompress_with_stats(blob, jobs=jobs, backend=backend).data
 
 
 def decompress_with_stats(
-    blob: bytes, jobs: int | None = None, backend=None, engine=None
+    blob: bytes, jobs: int | None = None, backend=None
 ) -> DecompressionResult:
-    """Like :func:`decompress`, returning the array plus stage reporting.
+    """Like :func:`decompress`, returning the array plus stage reporting."""
+    from ..engine.backends import resolve_execution
 
-    .. deprecated:: the ``engine=`` keyword; pass the engine as ``backend=``.
-    """
-    from ..engine.backends import deprecate_engine_kwarg, resolve_execution
-
-    if engine is not None and backend is None:
-        backend = deprecate_engine_kwarg("decompress_with_stats", engine)
     eng, own_engine = resolve_execution(backend, jobs, None)
     try:
         kind = sniff_container(blob)
@@ -572,16 +559,14 @@ class Compressor:
         return compress(data, self.config, **overrides)
 
     @staticmethod
-    def decompress(
-        blob: bytes, jobs: int | None = None, backend=None, engine=None
-    ) -> np.ndarray:
-        return decompress(blob, jobs=jobs, backend=backend, engine=engine)
+    def decompress(blob: bytes, jobs: int | None = None, backend=None) -> np.ndarray:
+        return decompress(blob, jobs=jobs, backend=backend)
 
     @staticmethod
     def decompress_with_stats(
-        blob: bytes, jobs: int | None = None, backend=None, engine=None
+        blob: bytes, jobs: int | None = None, backend=None
     ) -> DecompressionResult:
-        return decompress_with_stats(blob, jobs=jobs, backend=backend, engine=engine)
+        return decompress_with_stats(blob, jobs=jobs, backend=backend)
 
     # -- blocks, batches, streams ------------------------------------------
 

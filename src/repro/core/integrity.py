@@ -6,10 +6,10 @@ the failure must be loud and typed*:
 
 * **Checksums.**  Format v2 stamps every section payload with a CRC and
   digests the header + section table.  The algorithm is recorded per
-  archive: CRC-32C (Castagnoli, the checksum production compressors and
-  filesystems use) when a native implementation is importable, otherwise
-  zlib's CRC-32 -- both verify everywhere because a pure-Python CRC-32C
-  fallback is always available for *reading* foreign archives.
+  archive.  Writers stamp zlib's CRC-32; readers verify CRC-32 and CRC-32C
+  (Castagnoli) alike -- the latter natively when a module is importable,
+  else through a pure-Python fallback, so archives stamped with either
+  verify everywhere.
 * **Deep verification.**  :func:`verify_archive` walks a container --
   including nested block / rank / point-wise-relative archives -- and
   validates framing, checksums, and metadata plausibility *without
@@ -34,7 +34,6 @@ __all__ = [
     "ALGO_CRC32",
     "ALGO_CRC32C",
     "ALGO_NAMES",
-    "DEFAULT_ALGO",
     "crc32c",
     "checksum",
     "IntegrityReport",
@@ -115,11 +114,6 @@ def _find_native_crc32c():
 
 
 _NATIVE_CRC32C = _find_native_crc32c()
-
-#: Algorithm newly-built archives use.  CRC-32C when it runs at C speed,
-#: else zlib's CRC-32 (the id is recorded per archive, so readers always
-#: know how to verify regardless of where the archive was written).
-DEFAULT_ALGO = ALGO_CRC32C if _NATIVE_CRC32C is not None else ALGO_CRC32
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:

@@ -16,16 +16,11 @@ sparse index list.
 The produced container wraps a regular archive (the log-domain payload) in
 sections ``pw.*``; :func:`repro.decompress` dispatches on their presence.
 
-**Unified API**: this mode is reachable through the main entry point as
-``repro.compress(data, eb=r, mode="pwrel")`` / ``repro.decompress(blob)``.
-The historical entry points :func:`compress_pwrel` and
-:func:`decompress_pwrel` remain as thin shims that emit a
-``DeprecationWarning`` once per process.
+This mode is reachable only through the main entry points,
+``repro.compress(data, eb=r, mode="pwrel")`` and ``repro.decompress(blob)``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -37,37 +32,12 @@ from .config import CompressorConfig
 from .errors import ArchiveError, ConfigError
 
 __all__ = [
-    "compress_pwrel",
-    "decompress_pwrel",
     "decompress_pwrel_with_stats",
     "is_pwrel_archive",
 ]
 
 #: Guard against the output-dtype cast (one ulp of relative rounding).
 _CAST_REL = {np.dtype(np.float32): 2.0**-23, np.dtype(np.float64): 2.0**-52}
-
-#: Deprecated entry points that already warned (one warning per process).
-_WARNED: set[str] = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"repro.core.pwrel.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def compress_pwrel(
-    data: np.ndarray, rel_bound: float, config: CompressorConfig | None = None
-) -> CompressionResult:
-    """Deprecated shim: use ``repro.compress(data, eb=r, mode="pwrel")``."""
-    _warn_deprecated("compress_pwrel", 'repro.compress(data, eb=r, mode="pwrel")')
-    return _compress_pwrel(data, rel_bound, config)
-
 
 def _compress_pwrel(
     data: np.ndarray, rel_bound: float, config: CompressorConfig | None = None
@@ -149,12 +119,6 @@ def is_pwrel_archive(blob: bytes) -> bool:
         return ArchiveReader(blob).has("pw.inner")
     except ArchiveError:
         return False
-
-
-def decompress_pwrel(blob: bytes) -> np.ndarray:
-    """Deprecated shim: use ``repro.decompress(blob)`` (auto-dispatching)."""
-    _warn_deprecated("decompress_pwrel", "repro.decompress(blob)")
-    return decompress_pwrel_with_stats(blob).data
 
 
 def decompress_pwrel_with_stats(blob: bytes, engine=None) -> DecompressionResult:

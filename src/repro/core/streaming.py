@@ -134,7 +134,6 @@ def compress_blocks(
     max_block_bytes: int = 64 << 20,
     jobs: int | None = None,
     backend=None,
-    engine=None,
     **kwargs,
 ) -> bytes:
     """Compress a large field block-by-block into one container blob.
@@ -151,13 +150,9 @@ def compress_blocks(
     engine as ``backend=`` to reuse its pool and codebook cache.  Blocks
     are reassembled in submission order, so the container is
     **byte-identical** regardless of backend and worker count.
-
-    .. deprecated:: the ``engine=`` keyword; pass the engine as ``backend=``.
     """
-    from ..engine.backends import deprecate_engine_kwarg, resolve_execution
+    from ..engine.backends import resolve_execution
 
-    if engine is not None and backend is None:
-        backend = deprecate_engine_kwarg("compress_blocks", engine)
     if config is None:
         config = CompressorConfig(**kwargs)
     elif kwargs:
@@ -323,7 +318,7 @@ def decompress_range(blob: bytes, start: int, stop: int) -> np.ndarray:
 
 
 def decompress_blocks(
-    blob: bytes, jobs: int | None = None, backend=None, engine=None
+    blob: bytes, jobs: int | None = None, backend=None
 ) -> np.ndarray:
     """Restore the full field from a multi-block container.
 
@@ -332,18 +327,12 @@ def decompress_blocks(
     executor, or reuses a caller-owned engine passed in its place.  Blocks
     are gathered in manifest order, so the output is identical to the
     serial decode.
-
-    .. deprecated:: the ``engine=`` keyword; pass the engine as ``backend=``.
     """
-    from ..engine.backends import deprecate_engine_kwarg
-
-    if engine is not None and backend is None:
-        backend = deprecate_engine_kwarg("decompress_blocks", engine)
     return decompress_blocks_with_stats(blob, jobs=jobs, backend=backend).data
 
 
 def decompress_blocks_with_stats(
-    blob: bytes, jobs: int | None = None, backend=None, engine=None
+    blob: bytes, jobs: int | None = None, backend=None
 ) -> DecompressionResult:
     """Restore the full field plus aggregated per-block reporting.
 
@@ -353,13 +342,9 @@ def decompress_blocks_with_stats(
     are identical for containers built by :func:`compress_blocks`, which
     resolves the bound globally).  ``jobs``/``backend`` parallelize across
     blocks (see :func:`decompress_blocks`).
-
-    .. deprecated:: the ``engine=`` keyword; pass the engine as ``backend=``.
     """
-    from ..engine.backends import deprecate_engine_kwarg, resolve_execution
+    from ..engine.backends import resolve_execution
 
-    if engine is not None and backend is None:
-        backend = deprecate_engine_kwarg("decompress_blocks_with_stats", engine)
     eng, own_engine = resolve_execution(backend, jobs, None)
     try:
         return _decompress_blocks_impl(blob, eng)
@@ -427,8 +412,6 @@ class StreamingCompressor:
     worker pool while the producer keeps feeding, and :meth:`finish`
     gathers results in append order -- the container stays byte-identical
     to the serial one.  Worker-side failures surface at :meth:`finish`.
-
-    .. deprecated:: the ``engine=`` keyword; pass the engine as ``backend=``.
     """
 
     def __init__(
@@ -436,12 +419,9 @@ class StreamingCompressor:
         config: CompressorConfig,
         jobs: int | None = None,
         backend=None,
-        engine=None,
     ) -> None:
-        from ..engine.backends import deprecate_engine_kwarg, resolve_execution
+        from ..engine.backends import resolve_execution
 
-        if engine is not None and backend is None:
-            backend = deprecate_engine_kwarg("StreamingCompressor", engine)
         if config.eb_mode == "rel":
             raise ConfigError(
                 "streaming compression requires an absolute or point-wise "

@@ -47,7 +47,6 @@ def _huffman_encode_stream(
     symbols: np.ndarray,
     alphabet_size: int,
     chunk_size: int,
-    aligned: bool = False,
     freqs: np.ndarray | None = None,
 ) -> tuple[CanonicalCodebook, HuffmanEncoded, float]:
     """Histogram -> codebook -> chunked encode; returns (book, stream, ⟨b⟩).
@@ -57,10 +56,9 @@ def _huffman_encode_stream(
     with a previously-seen quant-code distribution skip tree construction;
     outside an engine the hooks fall through to direct computation.
     ``freqs``, when the caller already holds the histogram of ``symbols``
-    over ``alphabet_size``, skips the histogram pass.
-
-    ``aligned`` emits the format-v3 indexed payload (byte-aligned chunks
-    with recorded sync points).
+    over ``alphabet_size``, skips the histogram pass.  The stream is always
+    the format-v3 indexed payload (byte-aligned chunks with recorded sync
+    points).
     """
     if freqs is None:
         with tel.span("huffman.histogram", bytes_in=int(symbols.nbytes)):
@@ -68,7 +66,7 @@ def _huffman_encode_stream(
     with tel.span("huffman.codebook"):
         book = cached_codebook(freqs)
     with tel.span("huffman.encode", bytes_in=int(symbols.nbytes)) as sp:
-        encoded = huff_encode(symbols, book, chunk_size, aligned=aligned)
+        encoded = huff_encode(symbols, book, chunk_size, aligned=True)
         sp.set(bytes_out=int(encoded.payload_bytes))
     return book, encoded, book.average_bit_length(freqs)
 
@@ -113,7 +111,7 @@ def emit_huffman_sections(
     from ..encoding.lz77 import lz_compress
 
     book, encoded, avg_bitlen = _huffman_encode_stream(
-        symbols, alphabet_size, chunk_size, aligned=builder.version >= 3, freqs=freqs
+        symbols, alphabet_size, chunk_size, freqs=freqs
     )
     stats = {
         "avg_bitlen": avg_bitlen,
@@ -245,8 +243,7 @@ def emit_rle_sections(
         # outright, so VLE only replaces raw when it actually shrinks.
         with tel.span("rle.vle_values", bytes_in=int(rle.values.nbytes)):
             book, encoded, avg_bitlen = _huffman_encode_stream(
-                rle.values, config.dict_size, config.huffman_chunk,
-                aligned=builder.version >= 3,
+                rle.values, config.dict_size, config.huffman_chunk
             )
         if _huffman_group_bytes(book.serialized(), encoded) < rle.values.nbytes:
             _add_huffman_group(builder, "rv", book, encoded)
@@ -262,8 +259,7 @@ def emit_rle_sections(
         length_alphabet = int(np.iinfo(rle.lengths.dtype).max) + 1
         with tel.span("rle.vle_lengths", bytes_in=int(rle.lengths.nbytes)):
             lbook, lencoded, lavg = _huffman_encode_stream(
-                rle.lengths.astype(np.uint32), length_alphabet, config.huffman_chunk,
-                aligned=builder.version >= 3,
+                rle.lengths.astype(np.uint32), length_alphabet, config.huffman_chunk
             )
         if _huffman_group_bytes(lbook.serialized_sparse(), lencoded) < rle.lengths.nbytes:
             _add_huffman_group(builder, "rl", lbook, lencoded, sparse_codebook=True)

@@ -29,6 +29,7 @@ __all__ = [
     "pack_words_into",
     "unpack_to_bits",
     "peek_bits",
+    "peek_bits_prepadded",
     "bits_to_bytes",
 ]
 
@@ -139,8 +140,9 @@ def peek_bits(bits: np.ndarray, positions: np.ndarray, width: int) -> np.ndarray
     """Read ``width`` bits starting at each of ``positions``, as integers.
 
     Reads past the end of the stream are zero-padded, mirroring how a GPU
-    decoder over-fetches its last word.  Vectorized over positions -- this is
-    the primitive behind the lockstep (one-cursor-per-chunk) decoder.
+    decoder over-fetches its last word.  Vectorized over positions; the
+    bit-array counterpart of :func:`peek_bits_prepadded`, and the reference
+    it is tested against.
     """
     if not 1 <= width <= 63:
         raise EncodingError(f"peek width must be 1..63, got {width}")
@@ -156,38 +158,33 @@ def peek_bits(bits: np.ndarray, positions: np.ndarray, width: int) -> np.ndarray
     return window @ weights
 
 
-def peek_bits_packed(packed: np.ndarray, positions: np.ndarray, width: int) -> np.ndarray:
-    """Read ``width`` bits at each bit ``position`` straight from packed bytes.
-
-    Faster than :func:`peek_bits` for repeated peeks: instead of gathering
-    ``width`` individual bits it gathers the 8 bytes covering the window and
-    shifts -- exactly the word-at-a-time read a GPU decoder performs.  Width
-    is limited to 56 so the window always fits the 64-bit accumulator
-    regardless of the position's bit phase.
-    """
-    if not 1 <= width <= 56:
-        raise EncodingError(f"packed peek width must be 1..56, got {width}")
-    padded = np.concatenate([np.asarray(packed, dtype=np.uint8),
-                             np.zeros(8, dtype=np.uint8)])
-    return peek_bits_prepadded(padded, positions, width)
-
-
 def peek_bits_prepadded(padded: np.ndarray, positions: np.ndarray, width: int) -> np.ndarray:
-    """:func:`peek_bits_packed` over a stream already padded with >= 8 zero
-    bytes -- the repeated-peek fast path (no per-call copy).
+    """Read ``width`` (1..63) bits at each bit ``position`` of packed bytes.
 
-    Gathers only the bytes the window can actually touch: a ``width``-bit
-    read at any bit phase spans at most ``ceil((width + 7) / 8)`` bytes, so
-    narrow peeks (the decode table's fast level) cost 2-3 gathers instead
-    of 8.
+    The caller pads the stream with 9 zero bytes, once, so repeated peeks
+    cost no copy and every window at or one bit past the payload reads
+    zeros there -- how a GPU decoder over-fetches its last word.  Instead
+    of gathering ``width`` single bits it gathers the bytes covering the
+    window and shifts, the word-at-a-time read a GPU decoder performs.  A
+    ``width``-bit read at any bit phase spans ``ceil((width + 7) / 8)``
+    bytes, so narrow peeks (the decode table's fast level) cost 2-3 gathers.
+    Windows of 58 to 63 bits span nine bytes: the 8-byte word at the byte
+    index is shifted left by the bit phase and the ninth byte's top bits
+    are OR-ed in below it.
     """
+    if not 1 <= width <= 63:
+        raise EncodingError(f"peek width must be 1..63, got {width}")
     positions = np.asarray(positions, dtype=np.int64)
     byte_idx = positions >> 3
+    phase = (positions & 7).astype(np.uint64)
     nbytes = (width + 14) // 8  # covers width bits at any of the 8 phases
     acc = np.zeros(positions.shape, dtype=np.uint64)
-    for k in range(nbytes):
+    for k in range(min(nbytes, 8)):
         acc = (acc << np.uint64(8)) | padded[byte_idx + k].astype(np.uint64)
-    phase = (positions & 7).astype(np.uint64)
+    if nbytes > 8:
+        ninth = padded[byte_idx + 8].astype(np.uint64)
+        acc = (acc << phase) | (ninth >> (np.uint64(8) - phase))
+        return (acc >> np.uint64(64 - width)).astype(np.int64)
     shift = np.uint64(nbytes * 8 - width) - phase
     mask = np.uint64((1 << width) - 1)
     return ((acc >> shift) & mask).astype(np.int64)

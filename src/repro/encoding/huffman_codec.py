@@ -10,15 +10,15 @@ The encoder (:func:`encode`) packs codewords a 64-bit word at a time
 encoder's store-on-completion) over slabs of whole chunks, so its scratch
 memory is one byte per symbol plus the payload plus one cache-sized slab.
 
-The primary decoder (:func:`decode`) resolves symbols through a two-level
+The decoder (:func:`decode`) resolves symbols through a two-level
 canonical lookup table (:class:`~repro.encoding.huffman.DecodeTable`): one
 gather of the dense fast level yields a *window* of up to ``max_pack``
 whole symbols and their cumulative bit lengths.  Codes longer than the fast
 index fall back to a compact ``searchsorted`` over the long-code boundaries
--- the same value-based rule the table-free reference decoder
-(:func:`decode_lockstep`) applies to every symbol.  Each chunk decodes as a
-chain of windows, walked in one of two regimes picked from the stream's
-chunk count and payload bits:
+at full code width, read word-at-a-time for every code length the codebook
+accepts (up to 63 bits).  Each chunk decodes as a chain of windows, walked
+in one of two regimes picked from the stream's chunk count and payload
+bits:
 
 * **many chunks** (:func:`decode_lut_lockstep`): every chunk is a lane and
   all lanes advance one window per Python-level step, in lockstep like the
@@ -41,7 +41,8 @@ pads each chunk to a byte boundary and records per-chunk byte offsets
 then decode independently -- :func:`split_chunk_groups` partitions a stream
 into self-contained sub-streams for parallel workers.
 
-A plain sequential decoder is provided as the correctness reference.
+:func:`decode_sequential`, a plain bit-by-bit decoder, is the one
+correctness reference (oracle) every decoder is tested against.
 """
 
 from __future__ import annotations
@@ -51,13 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.errors import EncodingError
-from .bitio import (
-    bits_to_bytes,
-    pack_words_into,
-    peek_bits,
-    peek_bits_prepadded,
-    unpack_to_bits,
-)
+from .bitio import bits_to_bytes, pack_words_into, peek_bits_prepadded, unpack_to_bits
 from .huffman import CanonicalCodebook, DecodeTable, build_decode_table, lookup_lengths
 
 __all__ = [
@@ -66,14 +61,9 @@ __all__ = [
     "decode",
     "decode_lut_jump",
     "decode_lut_lockstep",
-    "decode_lockstep",
     "decode_sequential",
     "split_chunk_groups",
 ]
-
-#: Longest code the packed word-at-a-time peek can read; deeper books use
-#: the bit-array fallback inside :func:`decode_lockstep`.
-_PACKED_PEEK_MAX = 56
 
 #: :func:`encode` packs whole chunks about this many symbols at a time, so a
 #: slab's per-symbol temporaries (a few 8-byte arrays) stay in cache.
@@ -292,7 +282,7 @@ class _LutStream:
     starts: np.ndarray  # first bit of each chunk
     ends: np.ndarray  # bit each chunk's decode must end on
     per_chunk: np.ndarray  # symbols in each chunk
-    padded: np.ndarray  # payload plus 8 zero bytes of peek overrun
+    padded: np.ndarray  # payload plus 9 zero bytes of peek overrun
     win: np.ndarray  # big-endian 32-bit window at every byte offset
     bit_limit: int
     chunk_size: int
@@ -315,18 +305,17 @@ def _decode_lut(encoded, book, out_dtype, table, regime):
     """Stage ``encoded`` and decode it with ``regime`` (``None``: pick one)."""
     if encoded.n_symbols == 0:
         return np.zeros(0, dtype=out_dtype)
-    if book.max_length > _PACKED_PEEK_MAX:
-        # Pathological (>56-bit) books: the fast window cannot hold a whole
-        # long code; use the reference lockstep decoder's bit-array path.
-        return decode_lockstep(encoded, book, out_dtype=out_dtype)
     if table is None:
         table = build_decode_table(book)
     starts, chunk_bits, per_chunk = _chunk_layout(encoded)
     payload = np.asarray(encoded.payload, dtype=np.uint8)
-    padded = np.concatenate([payload, np.zeros(8, dtype=np.uint8)])
+    # Nine zero bytes: a slow-level peek of up to 63 bits at the overrun
+    # position reads nine bytes from the payload's end.
+    padded = np.concatenate([payload, np.zeros(9, dtype=np.uint8)])
     # Big-endian 32-bit window at every byte offset: one gather + one shift
-    # peeks the fast index at any bit phase (fast_bits <= 24).
-    pb = padded.astype(np.uint32)
+    # peeks the fast index at any bit phase (fast_bits <= 24); eight bytes
+    # of padding cover it.
+    pb = padded[:-1].astype(np.uint32)
     win = (
         (pb[:-3] << np.uint32(24))
         | (pb[1:-2] << np.uint32(16))
@@ -499,73 +488,6 @@ def _jump_windows(s: _LutStream, book, table: DecodeTable, out_dtype) -> np.ndar
     ends = np.full(n_chunks, -1, dtype=np.int64)
     ends[cid[last]] = np.minimum(pos[last] + used[last], s.overrun)
     if not np.array_equal(ends, s.ends):
-        raise EncodingError("corrupt Huffman stream: chunk length mismatch")
-    return out
-
-
-def decode_lockstep(
-    encoded: HuffmanEncoded, book: CanonicalCodebook, out_dtype=np.uint16
-) -> np.ndarray:
-    """Decode one symbol per chunk per step (the previous primary decoder).
-
-    Kept as the table-free reference: every step advances all cursors by
-    one symbol with a single peek + ``searchsorted`` over the canonical
-    boundaries.  The metamorphic suite pins :func:`decode` against it.
-    """
-    n = encoded.n_symbols
-    if n == 0:
-        return np.zeros(0, dtype=out_dtype)
-    width = book.max_length
-    # Word-at-a-time peeks straight from the packed stream when the longest
-    # code fits the 64-bit window; pathological (>56-bit) books fall back to
-    # the bit-array path.
-    if width <= _PACKED_PEEK_MAX:
-        padded = np.concatenate(
-            [np.asarray(encoded.payload, dtype=np.uint8), np.zeros(8, dtype=np.uint8)]
-        )
-
-        def peek(pos):
-            return peek_bits_prepadded(padded, pos, width)
-    else:
-        bits = unpack_to_bits(
-            encoded.payload, encoded.payload_bytes * 8
-        )
-
-        def peek(pos):
-            return peek_bits(bits, pos, width)
-    boundaries, bucket_lengths, bucket_bias = book.decode_boundaries(width)
-    first_code = book.first_code
-    sorted_symbols = book.sorted_symbols
-
-    starts, chunk_bits, per_chunk = _chunk_layout(encoded)
-    cursors = starts.copy()
-    n_chunks = cursors.size
-    # A cursor that runs past the payload parks one bit beyond it (so the
-    # end-bit check fails) instead of peeking past the zero padding.
-    overrun = encoded.payload_bytes * 8 + 1
-    out = np.empty(n, dtype=out_dtype)
-    out_base = np.arange(n_chunks, dtype=np.int64) * encoded.chunk_size
-
-    active = np.arange(n_chunks, dtype=np.int64)
-    step = 0
-    max_steps = int(per_chunk.max())
-    while step < max_steps:
-        if step > 0:
-            active = active[per_chunk[active] > step]
-        pos = cursors[active]
-        v = peek(pos)
-        bucket = np.searchsorted(boundaries, v, side="right") - 1
-        if bucket.size and int(bucket.min()) < 0:
-            raise EncodingError("corrupt Huffman stream: value below first code")
-        lens = bucket_lengths[bucket]
-        idx = (v >> (width - lens)) - first_code[lens] + bucket_bias[bucket]
-        if idx.size and (int(idx.max()) >= sorted_symbols.size or int(idx.min()) < 0):
-            raise EncodingError("corrupt Huffman stream: symbol index out of range")
-        out[out_base[active] + step] = sorted_symbols[idx].astype(out_dtype)
-        cursors[active] = np.minimum(pos + lens, overrun)
-        step += 1
-    # Every cursor must land exactly on its chunk's end bit.
-    if not np.array_equal(cursors, starts + chunk_bits):
         raise EncodingError("corrupt Huffman stream: chunk length mismatch")
     return out
 

@@ -27,13 +27,12 @@ then the ``REPRO_ENGINE_BACKEND`` environment variable, then ``thread``.
 between inline-serial execution and a (possibly caller-owned) engine.
 
 Worker-state re-initialization rules for the process backend: workers do
-not inherit the parent's context variables, so each job ships a captured
-``(pinned archive format, effective telemetry switch)`` pair and re-applies
-it around the job body; each worker process keeps its own
-:class:`~repro.engine.cache.QuantCache` (hit/miss deltas travel back in the
-result frame), and ledger writes inside workers follow the job config's
-``ledger`` path (the ledger format is append-only JSONL and tolerant of
-concurrent writers).
+not inherit the parent's context variables, so each job ships the captured
+effective telemetry switch and re-applies it around the job body; each
+worker process keeps its own :class:`~repro.engine.cache.QuantCache`
+(hit/miss deltas travel back in the result frame), and ledger writes
+inside workers follow the job config's ``ledger`` path (the ledger format
+is append-only JSONL and tolerant of concurrent writers).
 """
 
 from __future__ import annotations
@@ -43,15 +42,14 @@ import os
 import threading
 import time
 import uuid
-import warnings
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from ..core.errors import ConfigError, EngineError
+from ..telemetry.context import enabled as _tel_enabled, scope as _tel_scope
 from .cache import QuantCache, cache_scope
 
 __all__ = [
@@ -155,26 +153,6 @@ def resolve_execution(backend=None, jobs: int | None = None, config=None):
         # parallel request, they never promote a plain serial call.
         return None, False
     return CompressionEngine(config, jobs=jobs, backend=name or "thread"), True
-
-
-_DEPRECATED_WARNED: set[str] = set()
-
-
-def deprecate_engine_kwarg(func_name: str, engine):
-    """Shim for the legacy scattered ``engine=`` kwargs (warn once per site).
-
-    Returns the engine unchanged so call sites read
-    ``backend = deprecate_engine_kwarg("compress_blocks", engine)``.
-    """
-    if func_name not in _DEPRECATED_WARNED:
-        _DEPRECATED_WARNED.add(func_name)
-        warnings.warn(
-            f"{func_name}(engine=...) is deprecated; pass backend= instead "
-            "(a backend name or a CompressionEngine)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return engine
 
 
 @runtime_checkable
@@ -386,15 +364,16 @@ class ProcessBackend:
             )
         from ..core.compressor import compress
 
-        wctx = _capture_worker_ctx()
-        tel_on = wctx["tel"] if wctx["tel"] is not None else False
+        # Workers get none of the parent's context variables, so each job
+        # carries the submit-side *effective* telemetry switch.
+        tel_on = bool(_tel_enabled())
         if fn is compress and not kwargs and len(args) == 2:
             data = np.asarray(args[0])
             if data.size > 0 and np.issubdtype(data.dtype, np.floating):
-                return self._schedule_compress(data, args[1], wctx, tel_on)
+                return self._schedule_compress(data, args[1], tel_on)
         return self._schedule_pickled(fn, args, kwargs, tel_on)
 
-    def _schedule_compress(self, data, config, wctx, tel_on) -> Future:
+    def _schedule_compress(self, data, config, tel_on) -> Future:
         data = np.ascontiguousarray(data)
         out_off = _round_up(data.nbytes, 64)
         lease = self._arena.lease(out_off + _out_capacity(data.nbytes))
@@ -410,7 +389,7 @@ class ProcessBackend:
                 "out_cap": lease.size - out_off,
                 "config": config,
             }
-            inner = self._pool.submit(_process_compress_job, desc, wctx)
+            inner = self._pool.submit(_process_compress_job, desc, tel_on)
         except BaseException:
             self._arena.release(lease)
             raise
@@ -432,8 +411,7 @@ class ProcessBackend:
         return outer
 
     def _schedule_pickled(self, fn, args, kwargs, tel_on) -> Future:
-        wctx = _capture_worker_ctx()
-        inner = self._pool.submit(_process_run_job, fn, args, kwargs, wctx)
+        inner = self._pool.submit(_process_run_job, fn, args, kwargs, tel_on)
         outer: Future = Future()
         inner.add_done_callback(
             lambda f: self._complete(f, outer, None, tel_on, lambda fr: fr["result"])
@@ -496,28 +474,6 @@ def make_backend(name: str, engine, jobs: int):
 # ---------------------------------------------------------------------------
 
 
-def _capture_worker_ctx() -> dict:
-    """Snapshot the submit-side context a worker must re-apply.
-
-    Workers get none of the parent's context variables, so the pinned
-    archive format (conformance builds) and the *effective* telemetry
-    switch are captured per job and re-established around the job body.
-    """
-    from ..core.archive import current_pinned_format
-    from ..telemetry.context import enabled as tel_enabled
-
-    return {"pin": current_pinned_format(), "tel": bool(tel_enabled())}
-
-
-@contextmanager
-def _worker_state(wctx: dict):
-    from ..core.archive import pinned_format
-    from ..telemetry.context import scope as tel_scope
-
-    with tel_scope(wctx["tel"]), pinned_format(*wctx["pin"]):
-        yield
-
-
 _WORKER_CACHE: QuantCache | None = None
 _ATTACHED: dict = {}
 
@@ -562,7 +518,7 @@ def _attach_shm(name: str):
     return shm
 
 
-def _process_compress_job(desc: dict, wctx: dict) -> dict:
+def _process_compress_job(desc: dict, tel_on: bool) -> dict:
     """Worker body for the zero-copy compress path: map, compress, write
     the archive into the segment's output region, frame the metadata."""
     from ..core.compressor import compress
@@ -575,7 +531,7 @@ def _process_compress_job(desc: dict, wctx: dict) -> dict:
     ).reshape(desc["shape"])
     cache = _worker_cache()
     hits0, misses0 = cache.stats.hits, cache.stats.misses
-    with _worker_state(wctx), cache_scope(cache):
+    with _tel_scope(tel_on), cache_scope(cache):
         result = compress(view, desc["config"])
     alen = len(result.archive)
     inline = None
@@ -596,13 +552,13 @@ def _process_compress_job(desc: dict, wctx: dict) -> dict:
     }
 
 
-def _process_run_job(fn, args: tuple, kwargs: dict, wctx: dict) -> dict:
+def _process_run_job(fn, args: tuple, kwargs: dict, tel_on: bool) -> dict:
     """Worker body for arbitrary ``engine.run`` callables (pickled args)."""
     wall0 = time.perf_counter()
     cpu0 = time.thread_time()
     cache = _worker_cache()
     hits0, misses0 = cache.stats.hits, cache.stats.misses
-    with _worker_state(wctx), cache_scope(cache):
+    with _tel_scope(tel_on), cache_scope(cache):
         value = fn(*args, **kwargs)
     return {
         "result": value,

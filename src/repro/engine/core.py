@@ -26,7 +26,7 @@ Guarantees (identical across backends):
   counters;
 * **telemetry continuity** -- thread jobs run in a ``contextvars`` copy of
   the submitting context; process jobs re-apply the captured telemetry
-  switch and pinned archive format in the worker.
+  switch in the worker.
 """
 
 from __future__ import annotations
@@ -241,8 +241,8 @@ class CompressionEngine:
         (so an open telemetry span in the caller becomes the parent of the
         worker's ``compress`` span, and ``telemetry.scope`` overrides
         propagate); process workers re-apply the captured telemetry switch
-        and pinned archive format instead, and take the zero-copy
-        shared-memory path for the field payload.
+        instead, and take the zero-copy shared-memory path for the field
+        payload.
         """
         cfg = config or self.config
         if overrides:

@@ -21,8 +21,6 @@ The continuous layer on top of the per-call one:
 
 * :mod:`.ledger` -- append-only JSONL run ledger (``REPRO_LEDGER=path``),
   one record per compress/decompress/engine-batch invocation;
-* :mod:`.exposition` -- stdlib HTTP exporter serving the metrics registry
-  at ``/metrics`` (Prometheus text) and ``/metrics.json``;
 * :mod:`.log` -- span-correlated structured JSON log lines
   (``REPRO_LOG=stderr`` or a path).
 """
@@ -48,11 +46,11 @@ from .metrics import (
     counter,
     gauge,
     histogram,
+    lint_prometheus,
     render_json,
     render_prometheus,
     reset_metrics,
 )
-from .exposition import MetricsServer, lint_prometheus
 from .ledger import (
     LEDGER_SCHEMA,
     RunLedger,
@@ -90,6 +88,7 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
+    "lint_prometheus",
     "render_prometheus",
     "render_json",
     "reset_metrics",
@@ -103,8 +102,6 @@ __all__ = [
     "reset_ledgers",
     "config_fingerprint",
     "span_self_times",
-    # exposition / logging
-    "MetricsServer",
-    "lint_prometheus",
+    # logging
     "get_logger",
 ]

@@ -47,8 +47,9 @@ suffix on counters, base-unit ``_seconds``/``_bytes``):
 
 Server instruments tick unconditionally (serving is observable even with
 ``REPRO_TELEMETRY=0``); everything is registered once in the process-global
-registry, so the ``obs serve`` exporter and the front door's ``/metrics``
-endpoint render the same families without double registration.
+registry, so the front door's ``/metrics`` endpoint and an in-process
+:func:`~repro.telemetry.render_prometheus` render the same families
+without double registration.
 """
 
 from __future__ import annotations

@@ -9,7 +9,10 @@ A deliberately small subset of the Prometheus client model:
 All three support label sets passed as keyword arguments at observation
 time (``SELECTOR_DECISIONS.inc(workflow="rle+vle")``).  The registry renders
 the standard Prometheus text exposition format and a JSON equivalent for
-the bench harness's structured run records.
+the bench harness's structured run records; :func:`lint_prometheus`
+validates the text format the way ``promtool check metrics`` would.  Over
+HTTP the registry is served by ``repro serve`` (``/metrics``,
+``/metrics.json``), the process that does the work.
 
 Everything is thread-safe under one registry lock: pipeline stages run on
 :mod:`repro.parallel` worker threads and must not corrupt shared buckets.
@@ -32,6 +35,7 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
+    "lint_prometheus",
     "render_prometheus",
     "render_json",
     "reset_metrics",
@@ -315,8 +319,8 @@ class MetricsRegistry:
                     raise ValueError(
                         f"metric {name!r} already registered as {existing.kind}"
                     )
-                # Get-or-create is how independent exporters (obs serve, the
-                # server's /metrics endpoint) share one family without double
+                # Get-or-create is how independent modules (the pipeline's
+                # instruments, the server's) share one family without double
                 # registration -- but only when they agree on its shape.  A
                 # histogram re-registered with different buckets would
                 # silently fork the series, so that is an error instead.
@@ -408,6 +412,57 @@ def histogram(name: str, help: str = "", buckets: tuple[float, ...] = DEFAULT_BU
 
 def render_prometheus() -> str:
     return REGISTRY.render_prometheus()
+
+
+def lint_prometheus(text: str) -> list[str]:
+    """Problems with a Prometheus text exposition payload (empty = clean).
+
+    Checks the invariants ``promtool check metrics`` enforces on the
+    0.0.4 text format: exactly one ``# TYPE`` (and at most one ``# HELP``,
+    appearing first) per metric family, samples only after their family's
+    headers, histogram sample suffixes (``_bucket``/``_sum``/``_count``)
+    resolving to a declared family, and a newline-terminated payload.
+    """
+    problems: list[str] = []
+    if text and not text.endswith("\n"):
+        problems.append("payload does not end with a newline")
+    typed: dict[str, str] = {}
+    helped: set[str] = set()
+    sampled: set[str] = set()
+    for i, line in enumerate(text.splitlines()):
+        if not line.strip():
+            continue
+        if line.startswith("# HELP "):
+            family = line.split()[2]
+            if family in helped:
+                problems.append(f"line {i + 1}: duplicate # HELP for {family}")
+            if family in typed or family in sampled:
+                problems.append(f"line {i + 1}: # HELP for {family} after its TYPE/samples")
+            helped.add(family)
+        elif line.startswith("# TYPE "):
+            parts = line.split()
+            family, kind = parts[2], parts[3] if len(parts) > 3 else ""
+            if family in typed:
+                problems.append(f"line {i + 1}: duplicate # TYPE for {family}")
+            if family in sampled:
+                problems.append(f"line {i + 1}: # TYPE for {family} after its samples")
+            if kind not in ("counter", "gauge", "histogram", "summary", "untyped"):
+                problems.append(f"line {i + 1}: unknown metric type {kind!r}")
+            typed[family] = kind
+        elif line.startswith("#"):
+            continue  # free-form comment
+        else:
+            name = line.split("{")[0].split()[0]
+            base = name
+            for suffix in ("_bucket", "_sum", "_count"):
+                if name.endswith(suffix) and name[: -len(suffix)] in typed:
+                    base = name[: -len(suffix)]
+                    break
+            if base not in typed:
+                problems.append(f"line {i + 1}: sample {name} has no # TYPE header")
+            else:
+                sampled.add(base)
+    return problems
 
 
 def render_json() -> dict:

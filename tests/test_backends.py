@@ -1,8 +1,8 @@
 """Tests for the pluggable executor backends (`repro.engine.backends`).
 
 Covers the one-path backend resolution (argument > config > environment >
-default), the deprecation shims for the legacy scattered ``engine=``
-kwargs, process-backend byte-identity against the serial reference, the
+default), the ``backend=`` call sites raising no deprecation warning,
+process-backend byte-identity against the serial reference, the
 worker-crash failure mode (clean :class:`EngineError`, no hang), and the
 shared-memory hygiene contract: no ``/dev/shm`` entry with the engine's
 prefix survives a shutdown, clean or not.
@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.compressor import compress, decompress
+from repro.core.compressor import compress
 from repro.core.config import CompressorConfig
 from repro.core.errors import ConfigError, EngineError
 from repro.core.streaming import compress_blocks, decompress_blocks
 from repro.engine import CompressionEngine, get_executor, resolve_backend_name
 from repro.engine.backends import (
-    _DEPRECATED_WARNED,
     ENV_BACKEND,
     SHM_PREFIX,
     ShmArena,
@@ -101,30 +100,6 @@ class TestResolution:
 
 
 class TestDeprecationShims:
-    def test_engine_kwarg_warns_once_per_site(self):
-        field = make_field(3, shape=(32, 32))
-        cfg = CompressorConfig(eb=1e-3)
-        _DEPRECATED_WARNED.clear()
-        with CompressionEngine(cfg, jobs=1, backend="serial") as eng:
-            with pytest.warns(DeprecationWarning, match="pass backend="):
-                blob = compress_blocks(field, cfg, max_block_bytes=2048,
-                                       engine=eng)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # second use: no warning
-                blob2 = compress_blocks(field, cfg, max_block_bytes=2048,
-                                        engine=eng)
-        assert blob == blob2
-
-    def test_decompress_engine_kwarg_warns(self):
-        field = make_field(4, shape=(32, 32))
-        cfg = CompressorConfig(eb=1e-3)
-        blob = compress_blocks(field, cfg, max_block_bytes=2048)
-        _DEPRECATED_WARNED.clear()
-        with CompressionEngine(cfg, jobs=1, backend="serial") as eng:
-            with pytest.warns(DeprecationWarning, match="pass backend="):
-                out = decompress(blob, engine=eng)
-        np.testing.assert_array_equal(out, decompress(blob))
-
     def test_migrated_call_sites_raise_no_warnings(self):
         field = make_field(5, shape=(32, 32))
         cfg = CompressorConfig(eb=1e-3)

@@ -11,6 +11,7 @@ from repro.encoding.bitio import (
     pack_codes,
     pack_codes_at,
     peek_bits,
+    peek_bits_prepadded,
     unpack_to_bits,
 )
 
@@ -261,29 +262,33 @@ class TestPackCodesAt:
 
 
 class TestPeekBitsPacked:
-    def test_matches_bit_array_peek(self):
-        from repro.encoding.bitio import peek_bits_packed
+    """:func:`peek_bits_prepadded` reads packed bytes word-at-a-time; the
+    caller pads the stream with 9 zero bytes once."""
 
+    @staticmethod
+    def _padded(packed):
+        return np.concatenate([packed, np.zeros(9, dtype=np.uint8)])
+
+    def test_matches_bit_array_peek(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 400).astype(np.uint8)
-        packed = np.packbits(bits)
-        positions = rng.integers(0, 360, 50)
-        for width in (1, 7, 13, 24, 56):
-            a = peek_bits(bits, positions, min(width, 63))
-            b = peek_bits_packed(packed, positions, width)
-            np.testing.assert_array_equal(a[: b.size], b)
+        padded = self._padded(np.packbits(bits))
+        # Every position up to one bit past the end: all 8 bit phases.
+        positions = np.arange(bits.size + 2)
+        for width in (1, 7, 13, 24, 56, 57, 60, 63):
+            np.testing.assert_array_equal(
+                peek_bits_prepadded(padded, positions, width),
+                peek_bits(bits, positions, width),
+                err_msg=f"width {width}",
+            )
 
     def test_past_end_zero_padded(self):
-        from repro.encoding.bitio import peek_bits_packed
-
-        packed = np.array([0b10000000], dtype=np.uint8)
-        v = peek_bits_packed(packed, np.array([0]), 16)
-        assert v[0] == 0b1000000000000000
+        padded = self._padded(np.array([0b10000000], dtype=np.uint8))
+        assert peek_bits_prepadded(padded, np.array([0]), 16)[0] == 1 << 15
+        assert peek_bits_prepadded(padded, np.array([0]), 63)[0] == 1 << 62
+        assert peek_bits_prepadded(padded, np.array([1, 8, 9]), 63).tolist() == [0, 0, 0]
 
     def test_width_limits(self):
-        from repro.encoding.bitio import peek_bits_packed
-
-        with pytest.raises(EncodingError):
-            peek_bits_packed(np.zeros(4, np.uint8), np.array([0]), 57)
-        with pytest.raises(EncodingError):
-            peek_bits_packed(np.zeros(4, np.uint8), np.array([0]), 0)
+        for width in (0, 64):
+            with pytest.raises(EncodingError):
+                peek_bits_prepadded(np.zeros(13, np.uint8), np.array([0]), width)

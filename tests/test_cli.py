@@ -1,12 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.data.io import save_binary
+
+VECTOR_DIR = Path(__file__).parent / "vectors"
 
 
 @pytest.fixture()
@@ -174,16 +177,8 @@ class TestInfoVerify:
         assert "ratio" in out
         assert "sync points" in out and "parallel-decodable" in out
 
-    def test_info_v2_archive_reports_no_sync_points(self, field_file, tmp_path,
-                                                    capsys):
-        from repro.core.archive import pinned_format
-
-        path, _ = field_file
-        archive = tmp_path / "f2.rpsz"
-        with pinned_format(version=2):
-            main(["compress", str(path), "-o", str(archive),
-                  "--dims", "120", "120"])
-        capsys.readouterr()
+    def test_info_v2_archive_reports_no_sync_points(self, capsys):
+        archive = VECTOR_DIR / "v2-single-huff-f4-2d.rpsz"
         assert main(["info", str(archive), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["format_version"] == 2

@@ -4,7 +4,8 @@ The committed ``tests/vectors`` corpus is the on-disk-format compatibility
 contract; these tests assert that (a) today's code still honors it, (b) any
 single mutated byte is detected with a report naming the vector and the
 archive section, and (c) the generator is deterministic, so regeneration is
-reviewable.
+reviewable.  The v1/v2 vectors are frozen decode-only fixtures: no writer
+for those formats is left, so they are read and digested but never rebuilt.
 """
 
 import shutil
@@ -16,12 +17,12 @@ from repro.conformance import check_corpus, generate_corpus, locate_divergence
 from repro.conformance.corpus import (
     CORPUS,
     MANIFEST_NAME,
+    VectorSpec,
     build_vector,
     default_vector_dir,
     load_manifest,
 )
-from repro.core.archive import ArchiveReader, pinned_format
-from repro.core.errors import ArchiveError
+from repro.core.archive import ArchiveReader
 from repro.core.integrity import (
     flip_bit,
     with_mutated_section_length,
@@ -37,10 +38,12 @@ def manifest():
 
 
 class TestCommittedCorpus:
-    def test_full_check_passes(self):
+    def test_full_check_passes(self, manifest):
         report = check_corpus(VECTOR_DIR)
         assert report.ok, report.render()
-        assert report.n_checked == report.n_vectors == len(CORPUS)
+        # 36 rebuilt v3 vectors plus 72 decode-only v1/v2 fixtures.
+        assert report.n_checked == report.n_vectors == len(manifest["vectors"]) == 108
+        assert len(CORPUS) == 36 and {s.version for s in CORPUS} == {3}
 
     def test_corpus_stays_under_size_budget(self):
         total = sum(p.stat().st_size for p in VECTOR_DIR.iterdir())
@@ -74,9 +77,24 @@ class TestCommittedCorpus:
             regenerated = (tmp_path / entry["file"]).read_bytes()
             assert regenerated == (VECTOR_DIR / entry["file"]).read_bytes()
 
+    def test_generate_carries_frozen_entries_over(self, tmp_path):
+        work = tmp_path / "vectors"
+        shutil.copytree(VECTOR_DIR, work)
+        generate_corpus(work)
+        for path in VECTOR_DIR.iterdir():
+            assert (work / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_build_vector_rejects_frozen_versions(self):
+        for version in (1, 2):
+            spec = VectorSpec(version=version, container="single",
+                              workflow="huffman", dtype="f4", ndim=2)
+            with pytest.raises(ValueError, match="decode-only"):
+                build_vector(spec)
+
 
 class TestDriftDetection:
-    VICTIM = "v2-single-huff-f4-2d"
+    VICTIM = "v3-single-huff-f4-2d"
+    FROZEN = "v2-single-huff-f4-2d"
 
     @pytest.fixture()
     def corpus_copy(self, tmp_path):
@@ -127,6 +145,18 @@ class TestDriftDetection:
             assert not report.ok
             assert self.VICTIM in report.render()
 
+    @pytest.mark.parametrize("mutate", [
+        lambda b: flip_bit(b, (len(b) // 2) * 8),
+        lambda b: b[: len(b) - 9],
+    ], ids=["bit-flip", "truncation"])
+    def test_frozen_vector_corruption_detected(self, corpus_copy, mutate):
+        victim = corpus_copy / f"{self.FROZEN}.rpsz"
+        victim.write_bytes(mutate(victim.read_bytes()))
+        report = check_corpus(corpus_copy, names=[self.FROZEN])
+        assert not report.ok
+        assert any(f.check == "archive-digest" for f in report.failures)
+        assert self.FROZEN in report.render()
+
     def test_missing_vector_file_reported(self, corpus_copy):
         (corpus_copy / f"{self.VICTIM}.rpsz").unlink()
         report = check_corpus(corpus_copy, names=[self.VICTIM])
@@ -165,37 +195,6 @@ class TestDiffReport:
 
 
 class TestPinnedFormat:
-    def test_pin_drives_builder_defaults(self):
-        import numpy as np
-
-        import repro
-
-        field = np.linspace(0, 1, 64, dtype=np.float32)
-        with pinned_format(version=1):
-            v1 = repro.compress(field, eb=1e-3).archive
-        v3 = repro.compress(field, eb=1e-3).archive
-        assert ArchiveReader(v1).version == 1
-        assert ArchiveReader(v3).version == 3
-
-    def test_pin_validates_inputs(self):
-        with pytest.raises(ArchiveError):
-            with pinned_format(version=4):
-                pass
-        with pytest.raises(ArchiveError):
-            with pinned_format(checksum_algo=99):
-                pass
-
-    def test_pin_propagates_into_engine_workers(self):
-        import numpy as np
-
-        from repro.engine import CompressionEngine
-
-        field = np.linspace(0, 1, 64, dtype=np.float32).reshape(8, 8)
-        with pinned_format(version=1):
-            with CompressionEngine(jobs=2) as eng:
-                blob = eng.submit(field, eb=1e-3).result().archive
-        assert ArchiveReader(blob).version == 1
-
     def test_default_vector_dir_resolves(self):
         d = default_vector_dir()
         assert (d / MANIFEST_NAME).exists()

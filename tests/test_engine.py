@@ -3,18 +3,19 @@
 Covers the engine's four guarantees (future semantics, backpressure,
 deterministic ordering, shared codebook cache), the single ``decompress``
 front door across all three container kinds, the ``mode=`` config alias,
-and the deprecation shims for the historical pwrel entry points.
+and the pwrel path raising no deprecation warning.
 """
 
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
 from repro import telemetry as tel
-from repro.core import pwrel as pwrel_mod
+from repro.core.archive import ArchiveReader
 from repro.core.compressor import sniff_container
 from repro.core.errors import ArchiveError, ConfigError
 from repro.core.streaming import (
@@ -26,6 +27,8 @@ from repro.core.streaming import (
 from repro.engine import CompressionEngine
 from repro.engine.cache import QuantCache, cache_scope, cached_codebook
 from repro.telemetry import instruments as ins
+
+VECTOR_DIR = Path(__file__).parent / "vectors"
 
 
 def make_field(seed=0, shape=(96, 128)):
@@ -304,11 +307,8 @@ class TestParallelDecode:
     def test_v2_archive_decodes_serially_under_jobs(self):
         # Pre-v3 payloads carry no sync points; jobs= must still give the
         # identical result (serial fallback), not an error.
-        from repro.core.archive import pinned_format
-
-        field = make_field(5)
-        with pinned_format(version=2):
-            blob = repro.compress(field, eb=1e-3, huffman_chunk=128).archive
+        blob = (VECTOR_DIR / "v2-single-huff-f4-2d.rpsz").read_bytes()
+        assert ArchiveReader(blob).version == 2
         np.testing.assert_array_equal(
             repro.decompress(blob, jobs=2), repro.decompress(blob)
         )
@@ -410,38 +410,6 @@ class TestCompressorClass:
 
 
 class TestDeprecatedShims:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self):
-        saved = set(pwrel_mod._WARNED)
-        pwrel_mod._WARNED.clear()
-        yield
-        pwrel_mod._WARNED.clear()
-        pwrel_mod._WARNED.update(saved)
-
-    def test_compress_pwrel_warns_exactly_once_and_roundtrips(self):
-        field = np.abs(make_field(21)) + 1.0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = pwrel_mod.compress_pwrel(field, 1e-3)
-            pwrel_mod.compress_pwrel(field, 1e-3)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "mode=\"pwrel\"" in str(dep[0].message)
-        # The shim's output is identical to the unified path's.
-        assert res.archive == repro.compress(field, eb=1e-3, mode="pwrel").archive
-
-    def test_decompress_pwrel_warns_exactly_once_and_roundtrips(self):
-        field = np.abs(make_field(22)) + 1.0
-        blob = repro.compress(field, eb=1e-3, mode="pwrel").archive
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = pwrel_mod.decompress_pwrel(blob)
-            pwrel_mod.decompress_pwrel(blob)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        rel = np.abs(out - field) / np.abs(field)
-        assert float(rel.max()) <= 1e-3
-
     def test_internal_paths_do_not_warn(self):
         field = np.abs(make_field(23)) + 1.0
         with warnings.catch_warnings():

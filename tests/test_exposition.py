@@ -1,17 +1,24 @@
-"""Tests for the /metrics HTTP exporter, the Prometheus text format
-contract (promtool-style lint), and the structured JSON log lines."""
+"""Tests for the Prometheus text format contract (promtool-style lint), the
+registry served over HTTP by the ``repro serve`` front door -- the one HTTP
+stack -- and the structured JSON log lines."""
 
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
 from repro import telemetry as tel
+from repro.core.errors import ConfigError
+from repro.server import CompressionServer, ServerConfig
 from repro.telemetry import instruments as ins
-from repro.telemetry.exposition import MetricsServer, lint_prometheus
+from repro.telemetry import lint_prometheus
 from repro.telemetry.metrics import MetricsRegistry, render_prometheus
 
 
@@ -26,6 +33,13 @@ def populate_registry():
     field = np.sin(np.linspace(0, 8, 4096)).astype(np.float32).reshape(64, 64)
     with tel.scope(True):  # instruments only tick when telemetry is on
         repro.compress(field, eb=1e-3)
+
+
+def front_door() -> CompressionServer:
+    """An unstarted front door on an ephemeral port with a serial engine."""
+    return CompressionServer(
+        ServerConfig(port=0, jobs=1, backend="serial", max_inflight=2)
+    )
 
 
 class TestPrometheusFormat:
@@ -82,10 +96,12 @@ class TestPrometheusFormat:
 
 
 class TestMetricsServer:
+    """The process's registry over HTTP, as ``repro serve`` answers it."""
+
     def test_scrape_metrics_over_http(self):
         populate_registry()
-        with MetricsServer() as srv:
-            with urllib.request.urlopen(srv.url + "/metrics") as resp:
+        with front_door() as srv:
+            with urllib.request.urlopen(srv.address + "/metrics") as resp:
                 assert resp.status == 200
                 ctype = resp.headers["Content-Type"]
                 body = resp.read().decode()
@@ -96,51 +112,55 @@ class TestMetricsServer:
 
     def test_scrape_json(self):
         populate_registry()
-        with MetricsServer() as srv:
-            with urllib.request.urlopen(srv.url + "/metrics.json") as resp:
+        with front_door() as srv:
+            with urllib.request.urlopen(srv.address + "/metrics.json") as resp:
                 snapshot = json.loads(resp.read())
         assert snapshot["repro_compress_calls_total"]["type"] == "counter"
 
     def test_healthz_and_404(self):
-        with MetricsServer() as srv:
-            with urllib.request.urlopen(srv.url + "/healthz") as resp:
-                assert resp.read() == b"ok\n"
+        with front_door() as srv:
+            with urllib.request.urlopen(srv.address + "/healthz") as resp:
+                assert json.loads(resp.read())["status"] == "ok"
             with pytest.raises(urllib.error.HTTPError) as exc:
-                urllib.request.urlopen(srv.url + "/nope")
+                urllib.request.urlopen(srv.address + "/nope")
             assert exc.value.code == 404
 
     def test_ephemeral_port_resolves(self):
-        srv = MetricsServer(port=0)
+        srv = front_door()
         assert srv.port == 0
         with srv:
             assert srv.port != 0
-            assert srv.url == f"http://127.0.0.1:{srv.port}"
+            assert srv.address == f"http://127.0.0.1:{srv.port}"
 
     def test_double_start_raises(self):
-        with MetricsServer() as srv:
-            with pytest.raises(RuntimeError):
+        with front_door() as srv:
+            with pytest.raises(ConfigError):
                 srv.start()
 
     def test_stop_is_idempotent(self):
-        srv = MetricsServer().start()
+        srv = front_door().start()
         srv.stop()
         srv.stop()
-
-    def test_custom_registry(self):
-        reg = MetricsRegistry()
-        reg.counter("private_total", "private").inc(7)
-        with MetricsServer(registry=reg) as srv:
-            body = urllib.request.urlopen(srv.url + "/metrics").read().decode()
-        assert "private_total 7" in body
-        assert "repro_compress_calls_total" not in body
 
     def test_live_updates_between_scrapes(self):
-        with MetricsServer() as srv:
-            before = urllib.request.urlopen(srv.url + "/metrics").read().decode()
+        with front_door() as srv:
+            before = urllib.request.urlopen(srv.address + "/metrics").read().decode()
             populate_registry()
-            after = urllib.request.urlopen(srv.url + "/metrics").read().decode()
+            after = urllib.request.urlopen(srv.address + "/metrics").read().decode()
         assert "repro_compress_calls_total 0" in before
         assert "repro_compress_calls_total 1" in after
+
+
+class TestImportCost:
+    def test_import_repro_skips_http_server(self):
+        # The HTTP stack loads with `repro serve`, not with `import repro`.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-c",
+             "import repro, sys; assert 'http.server' not in sys.modules"],
+            env=env, check=True, timeout=120,
+        )
 
 
 class TestStructuredLog:
@@ -169,49 +189,33 @@ class TestStructuredLog:
         assert lines[0]["answer"] == 42
         assert lines[1]["span"] is None
 
-    def test_server_requests_logged(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG", str(tmp_path / "log.jsonl"))
-        with MetricsServer() as srv:
-            urllib.request.urlopen(srv.url + "/healthz").read()
-        events = [
-            json.loads(ln)["event"]
-            for ln in (tmp_path / "log.jsonl").read_text().splitlines()
-        ]
-        assert "server.start" in events
-        assert "server.request" in events
-        assert "server.stop" in events
-
 
 class TestSharedRegistry:
-    """Satellite: the MetricsServer exporter and the compression front
-    door's /metrics endpoint must render ONE process-global registry --
-    importing/booting both never double-registers a family."""
+    """Satellite: the front door's /metrics endpoint and an in-process
+    render show ONE process-global registry -- booting the server never
+    double-registers a family."""
 
     def test_obs_exporter_and_front_door_share_one_registry(self):
-        from repro.server import CompressionServer, ServerConfig
-
-        config = ServerConfig(port=0, jobs=1, backend="serial", max_inflight=2)
-        with MetricsServer() as obs, CompressionServer(config) as front:
+        with front_door() as front:
             # Tick a server instrument through the front door...
+            urllib.request.urlopen(front.address + "/healthz").read()
             front_text = (
-                urllib.request.urlopen(front.address + "/healthz").read()
-                and urllib.request.urlopen(front.address + "/metrics")
-                .read().decode()
+                urllib.request.urlopen(front.address + "/metrics").read().decode()
             )
-            # ...and the obs exporter must see the same sample.
-            obs_text = urllib.request.urlopen(obs.url + "/metrics").read().decode()
-        for text in (front_text, obs_text):
+            # ...and the in-process render must see the same families.
+            local_text = render_prometheus()
+        for text in (front_text, local_text):
             assert "repro_server_requests_total" in text
             assert lint_prometheus(text) == [], "double-registered family"
         front_families = {
             ln.split()[2] for ln in front_text.splitlines()
             if ln.startswith("# TYPE ")
         }
-        obs_families = {
-            ln.split()[2] for ln in obs_text.splitlines()
+        local_families = {
+            ln.split()[2] for ln in local_text.splitlines()
             if ln.startswith("# TYPE ")
         }
-        assert front_families == obs_families
+        assert front_families == local_families
 
     def test_reimporting_instruments_is_idempotent(self):
         import importlib

@@ -19,7 +19,6 @@ from repro.encoding.huffman import (
 from repro.encoding import huffman_codec
 from repro.encoding.huffman_codec import (
     decode,
-    decode_lockstep,
     decode_lut_jump,
     decode_lut_lockstep,
     decode_sequential,
@@ -31,8 +30,8 @@ from repro.encoding.huffman_codec import (
 #: detect the same corruptions.
 ENTRY_POINTS = [decode, decode_lut_lockstep, decode_lut_jump]
 
-#: Every decoder, the table-free references included.
-ALL_DECODERS = ENTRY_POINTS + [decode_lockstep, decode_sequential]
+#: Every decoder, the sequential oracle included.
+ALL_DECODERS = ENTRY_POINTS + [decode_sequential]
 
 
 def random_symbols(rng, n, alphabet, skew=1.5):
@@ -239,7 +238,8 @@ class TestLengthTableValidation:
 
 
 class TestDeepCodebookFallback:
-    """Books deeper than the 56-bit packed peek use the bit-array path."""
+    """Books deeper than 56 bits, whose long codes span nine payload bytes
+    at some bit phases, decode through the same table path."""
 
     LENGTHS = list(range(1, 58)) + [58, 58]  # Kraft-complete chain, depth 58
 
@@ -248,12 +248,11 @@ class TestDeepCodebookFallback:
 
     def test_decode_falls_back_and_roundtrips(self):
         book = self._book()
-        assert book.max_length == 58  # deeper than the packed-peek window
+        assert book.max_length == 58  # wider than one 8-byte word at phase 7
         syms = np.array([0, 1, 0, 57, 58, 2, 0, 0, 1, 56], dtype=np.uint16)
         enc = encode(syms, book, 3)
-        np.testing.assert_array_equal(decode(enc, book), syms)
-        np.testing.assert_array_equal(decode_lockstep(enc, book), syms)
-        np.testing.assert_array_equal(decode_sequential(enc, book), syms)
+        for entry in ALL_DECODERS:
+            np.testing.assert_array_equal(entry(enc, book), syms)
 
     def test_corruption_still_detected_on_fallback_path(self):
         book = self._book()
@@ -283,6 +282,9 @@ class TestDecodeRegimes:
         if name == "deep_book":  # a 1..20-bit chain: long codes hit the slow level
             book = CanonicalCodebook.deserialized(bytes(list(range(1, 20)) + [20, 20]))
             return rng.integers(0, 21, 600).astype(np.uint16), book, 37
+        if name == "deepest_book":  # a 1..63-bit chain, the deepest legal book
+            book = CanonicalCodebook.deserialized(bytes(list(range(1, 63)) + [63, 63]))
+            return rng.integers(0, 64, 300).astype(np.uint16), book, 37
         if name == "single_symbol":  # 1-bit code, 8 per window, 13 per chunk
             syms = np.full(500, 3, dtype=np.uint16)
             return syms, build_codebook(np.bincount(syms, minlength=8)), 13
@@ -307,7 +309,8 @@ class TestDecodeRegimes:
     )
     @pytest.mark.parametrize("aligned", [False, True], ids=["dense", "aligned"])
     @pytest.mark.parametrize(
-        "case", ["few_chunks", "many_chunks", "deep_book", "single_symbol"]
+        "case",
+        ["few_chunks", "many_chunks", "deep_book", "deepest_book", "single_symbol"],
     )
     def test_regime_matches_sequential(self, case, aligned, regime):
         syms, book, chunk = self._case(case)
@@ -340,7 +343,6 @@ class TestAlignedLayout:
         syms, book, enc = self._stream()
         table = build_decode_table(book)
         np.testing.assert_array_equal(decode(enc, book, table=table), syms)
-        np.testing.assert_array_equal(decode_lockstep(enc, book), syms)
         np.testing.assert_array_equal(decode_sequential(enc, book), syms)
 
     def test_aligned_metadata_accounts_for_offsets(self):

@@ -1,5 +1,8 @@
 """Unit tests for archive format v2, checksums, and deep verification."""
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.core.errors import ArchiveError, IntegrityError
 from repro.core.integrity import (
     ALGO_CRC32,
     ALGO_CRC32C,
+    ALGO_NAMES,
     IntegrityReport,
     _crc32c_software,
     checksum,
@@ -16,6 +20,30 @@ from repro.core.integrity import (
     flip_bit,
     verify_archive,
 )
+
+#: A committed format-v1 vector (no writer for v1 is left).
+V1_VECTOR = Path(__file__).parent / "vectors" / "v1-single-huff-f4-2d.rpsz"
+
+_HEADER = struct.Struct("<8sHIBB2xQ")  # magic, version, n_sections, algo, flags, total
+_ENTRY = struct.Struct("<16s8sQI")  # name, dtype, length, payload checksum
+
+
+def restamped(blob: bytes, algo: int) -> bytes:
+    """``blob`` (a v2/v3 archive) with its header's algorithm id, every
+    section checksum and the header digest recomputed under ``algo``."""
+    magic, version, n_sections, _, flags, total = _HEADER.unpack_from(blob, 0)
+    out = bytearray(blob)
+    _HEADER.pack_into(out, 0, magic, version, n_sections, algo, flags, total)
+    table_end = _HEADER.size + _ENTRY.size * n_sections
+    payload_off = table_end + 4
+    for k in range(n_sections):
+        off = _HEADER.size + k * _ENTRY.size
+        name, dtype, length, _ = _ENTRY.unpack_from(blob, off)
+        payload = blob[payload_off : payload_off + length]
+        _ENTRY.pack_into(out, off, name, dtype, length, checksum(payload, algo))
+        payload_off += length
+    struct.pack_into("<I", out, table_end, checksum(bytes(out[:table_end]), algo))
+    return bytes(out)
 
 
 class TestCrc32c:
@@ -59,20 +87,19 @@ class TestV2Format:
         blob = ArchiveBuilder().add_bytes("a", b"x").to_bytes()
         reader = ArchiveReader(blob)
         assert reader.version == VERSION == 3
-        assert reader.checksum_algo in (ALGO_CRC32, ALGO_CRC32C)
+        assert reader.checksum_algo == ALGO_CRC32
 
     def test_v1_still_writable_and_readable(self):
-        arr = np.arange(64, dtype=np.uint32)
-        blob = ArchiveBuilder(version=1).add_array("a", arr).add_bytes("b", b"yo").to_bytes()
+        # v1 is read-only now: a committed vector stands in for the writer.
+        blob = V1_VECTOR.read_bytes()
         reader = ArchiveReader(blob)
-        assert reader.version == 1
-        np.testing.assert_array_equal(reader.get_array("a"), arr)
-        assert reader.get_bytes("b") == b"yo"
+        assert reader.version == 1 and reader.checksum_algo == 0
+        assert reader.has("meta") and reader.get_array("q.cbits").size > 0
         reader.verify_all()  # no checksums to check; must not raise
+        assert repro.decompress(blob).shape == (8, 8)
 
     def test_v1_report_has_no_checksums(self):
-        blob = ArchiveBuilder(version=1).add_bytes("a", b"x").to_bytes()
-        report = verify_archive(blob)
+        report = verify_archive(V1_VECTOR.read_bytes())
         assert report.version == 1 and report.checksum_algo == "none"
 
     def test_v2_smaller_overhead_is_accounted(self):
@@ -81,19 +108,33 @@ class TestV2Format:
         assert len(blob) == b.overhead_bytes + 15
 
     def test_explicit_algo_roundtrip(self):
+        # Writers stamp CRC-32; readers verify archives stamped with either.
+        written = ArchiveBuilder().add_bytes("a", b"data").add_bytes("b", b"").to_bytes()
         for algo in (ALGO_CRC32, ALGO_CRC32C):
-            blob = ArchiveBuilder(checksum_algo=algo).add_bytes("a", b"data").to_bytes()
+            blob = restamped(written, algo)
             reader = ArchiveReader(blob)
             assert reader.checksum_algo == algo
             assert reader.get_bytes("a") == b"data"
+            reader.verify_all()
+            assert verify_archive(blob).checksum_algo == ALGO_NAMES[algo]
+        assert restamped(written, ALGO_CRC32) == written
+        corrupt = flip_bit(restamped(written, ALGO_CRC32C), 8 * (len(written) - 1))
+        with pytest.raises(IntegrityError):
+            ArchiveReader(corrupt).get_bytes("a")
 
     def test_bad_version_rejected(self):
-        with pytest.raises(ArchiveError):
-            ArchiveBuilder(version=4)
+        # No writer takes a version; the reader rejects a header naming one
+        # it does not know.
+        blob = bytearray(ArchiveBuilder().add_bytes("a", b"x").to_bytes())
+        struct.pack_into("<H", blob, 8, 4)
+        with pytest.raises(ArchiveError, match="unsupported archive version 4"):
+            ArchiveReader(bytes(blob))
 
     def test_bad_algo_rejected(self):
-        with pytest.raises(ArchiveError):
-            ArchiveBuilder(checksum_algo=42)
+        blob = bytearray(ArchiveBuilder().add_bytes("a", b"x").to_bytes())
+        blob[14] = 42  # the header's checksum-algorithm id
+        with pytest.raises(ArchiveError, match="unknown checksum algorithm id 42"):
+            ArchiveReader(bytes(blob))
 
     def test_payload_flip_raises_integrity_error(self):
         blob = ArchiveBuilder().add_bytes("a", b"sensitive-payload").to_bytes()

@@ -184,15 +184,6 @@ class TestChromeTraceParallel:
 
 
 class TestObsCli:
-    def test_serve_once_prints_exposition(self, capsys):
-        assert main(["obs", "serve", "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_compress_calls_total counter" in out
-        assert out.endswith("\n")
-        from repro.telemetry.exposition import lint_prometheus
-
-        assert lint_prometheus(out) == []
-
     def test_report_renders_ledger(self, tmp_path, capsys):
         path = tmp_path / "l.jsonl"
         repro.compress(make_field(), CompressorConfig(eb=1e-3, ledger=str(path)))

@@ -479,7 +479,7 @@ class TestIntrospection:
         text = body.decode()
         assert "repro_server_requests_total" in text
         assert "repro_server_request_seconds" in text
-        from repro.telemetry.exposition import lint_prometheus
+        from repro.telemetry import lint_prometheus
 
         assert lint_prometheus(text) == []
 
