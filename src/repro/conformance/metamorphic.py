@@ -228,7 +228,8 @@ def check_decoder_agreement(
     others accept.
     """
     from ..core.dual_quant import quantize_field
-    from ..engine.cache import cached_codebook, cached_histogram
+    from ..encoding.histogram import histogram
+    from ..encoding.huffman import codebook_for
     from ..encoding.huffman_codec import (
         decode,
         decode_lut_jump,
@@ -245,7 +246,7 @@ def check_decoder_agreement(
     }
     bundle, _ = quantize_field(np.asarray(field), config)
     symbols = bundle.quant.reshape(-1)
-    book = cached_codebook(cached_histogram(symbols, config.dict_size))
+    book = codebook_for(histogram(symbols, config.dict_size))
     out_dtype = symbols.dtype
     for aligned in (False, True):
         encoded = encode(symbols, book, config.huffman_chunk, aligned=aligned)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import telemetry as tel
-from ..engine.cache import active_cache, cached_histogram
+from ..encoding.histogram import histogram
+from ..encoding.huffman import memo_counts
 from ..telemetry import instruments as ins
 from ..telemetry import ledger as ledger_mod
 from .archive import ArchiveBuilder, ArchiveReader
@@ -156,9 +157,7 @@ def compress(data: np.ndarray, config: CompressorConfig | None = None, **kwargs)
 
 def _compress_impl(data: np.ndarray, config: CompressorConfig) -> CompressionResult:
     led = ledger_mod.ledger_for(config)
-    if led is not None:
-        cache = active_cache()
-        cache0 = (cache.stats.hits, cache.stats.misses) if cache else None
+    memo0 = memo_counts()
     with tel.span("compress", bytes_in=int(data.nbytes)) as root:
         # Missing values (NaN masks are routine in observational/climate
         # data): record their positions losslessly and fill with the finite
@@ -187,7 +186,7 @@ def _compress_impl(data: np.ndarray, config: CompressorConfig) -> CompressionRes
             sp.set(bytes_out=int(bundle.quant.nbytes), predictor=bundle.predictor,
                    n_outliers=bundle.n_outliers)
         with tel.span("histogram", bytes_in=int(bundle.quant.nbytes)):
-            freqs = cached_histogram(bundle.quant, config.dict_size)
+            freqs = histogram(bundle.quant, config.dict_size)
         with tel.span("select_workflow") as sp:
             diag = select_workflow(bundle.quant, freqs, config)
             workflow = diag.decision
@@ -255,13 +254,7 @@ def _compress_impl(data: np.ndarray, config: CompressorConfig) -> CompressionRes
         ins.LAST_RATIO.set_value(result.compression_ratio)
         ins.record_stage_metrics(root, op="compress")
     if led is not None:
-        cache = active_cache()
-        cache_delta = None
-        if cache is not None and cache0 is not None:
-            cache_delta = {
-                "hits": cache.stats.hits - cache0[0],
-                "misses": cache.stats.misses - cache0[1],
-            }
+        hits, misses = memo_counts()
         led.record(
             "compress",
             fingerprint=ledger_mod.config_fingerprint(config),
@@ -286,7 +279,7 @@ def _compress_impl(data: np.ndarray, config: CompressorConfig) -> CompressionRes
                 "ratio": result.compression_ratio,
             },
             outliers=bundle.n_outliers,
-            cache=cache_delta,
+            cache={"hits": hits - memo0[0], "misses": misses - memo0[1]},
         )
     return result
 

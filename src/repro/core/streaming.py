@@ -147,7 +147,8 @@ def compress_blocks(
     :class:`~repro.engine.CompressionEngine`; ``backend=`` picks its
     executor (``"serial"``/``"thread"``/``"process"``, default resolved via
     the config then ``REPRO_ENGINE_BACKEND``), or pass a caller-owned
-    engine as ``backend=`` to reuse its pool and codebook cache.  Blocks
+    engine as ``backend=`` to reuse its pool, whose process workers keep
+    their codebook memos between calls.  Blocks
     are reassembled in submission order, so the container is
     **byte-identical** regardless of backend and worker count.
     """

@@ -18,14 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from .. import telemetry as tel
-from ..encoding.huffman import CanonicalCodebook
+from ..encoding.histogram import histogram
+from ..encoding.huffman import CanonicalCodebook, codebook_for
 from ..encoding.huffman_codec import (
     HuffmanEncoded,
     decode as huff_decode,
     encode as huff_encode,
     split_chunk_groups,
 )
-from ..engine.cache import cached_codebook, cached_decode_table, cached_histogram
 from ..encoding.rle import RunLengthEncoded, rle_decode, rle_encode
 from .archive import ArchiveBuilder, ArchiveReader
 from .config import CompressorConfig
@@ -51,20 +51,19 @@ def _huffman_encode_stream(
 ) -> tuple[CanonicalCodebook, HuffmanEncoded, float]:
     """Histogram -> codebook -> chunked encode; returns (book, stream, ⟨b⟩).
 
-    Both the histogram and the codebook go through the engine cache hooks:
-    inside an engine worker (:func:`repro.engine.cache.cache_scope`) blocks
-    with a previously-seen quant-code distribution skip tree construction;
-    outside an engine the hooks fall through to direct computation.
-    ``freqs``, when the caller already holds the histogram of ``symbols``
-    over ``alphabet_size``, skips the histogram pass.  The stream is always
-    the format-v3 indexed payload (byte-aligned chunks with recorded sync
+    The codebook comes from the process-wide memo
+    (:func:`~repro.encoding.huffman.codebook_for`), so a quant-code
+    distribution seen before skips tree construction.  ``freqs``, when the
+    caller already holds the histogram of ``symbols`` over
+    ``alphabet_size``, skips the histogram pass.  The stream is always the
+    format-v3 indexed payload (byte-aligned chunks with recorded sync
     points).
     """
     if freqs is None:
         with tel.span("huffman.histogram", bytes_in=int(symbols.nbytes)):
-            freqs = cached_histogram(symbols, alphabet_size)
+            freqs = histogram(symbols, alphabet_size)
     with tel.span("huffman.codebook"):
-        book = cached_codebook(freqs)
+        book = codebook_for(freqs)
     with tel.span("huffman.encode", bytes_in=int(symbols.nbytes)) as sp:
         encoded = huff_encode(symbols, book, chunk_size, aligned=True)
         sp.set(bytes_out=int(encoded.payload_bytes))
@@ -150,7 +149,9 @@ def read_huffman_sections(
     decode out across workers when the stream carries sync points
     (``<prefix>.idx``, format v3): chunk groups are self-contained, decode
     concurrently, and are concatenated in submission order -- the output is
-    byte-identical to the serial decode.
+    byte-identical to the serial decode.  Wherever a group decodes, its
+    decode table comes from that process's memo
+    (:func:`~repro.encoding.huffman.decode_table_for`).
     """
     raw_book = reader.get_bytes(f"{prefix}.cb")
     if sparse_codebook:
@@ -189,14 +190,13 @@ def read_huffman_sections(
         chunk_size=chunk_size,
         chunk_offsets=chunk_offsets,
     )
-    table = cached_decode_table(book)
     with tel.span("huffman.decode", bytes_in=int(payload.nbytes)) as sp:
-        out = _decode_stream(encoded, book, out_dtype, table, engine)
+        out = _decode_stream(encoded, book, out_dtype, engine)
         sp.set(bytes_out=int(out.nbytes))
     return out
 
 
-def _decode_stream(encoded, book, out_dtype, table, engine):
+def _decode_stream(encoded, book, out_dtype, engine):
     """Serial decode, or sync-point-parallel decode when an engine is given."""
     n_chunks = int(encoded.chunk_bits.size)
     if (
@@ -205,17 +205,10 @@ def _decode_stream(encoded, book, out_dtype, table, engine):
         or n_chunks < 2 * _MIN_CHUNKS_PER_GROUP
         or getattr(engine, "jobs", 1) < 2
     ):
-        return huff_decode(encoded, book, out_dtype=out_dtype, table=table)
+        return huff_decode(encoded, book, out_dtype=out_dtype)
     n_groups = min(engine.jobs, n_chunks // _MIN_CHUNKS_PER_GROUP)
     groups = split_chunk_groups(encoded, n_groups)
-    if getattr(engine, "backend", None) == "process":
-        # A decode LUT is big and rebuildable; let each worker process build
-        # (and cache) its own from the codebook instead of pickling ours.
-        table = None
-    futures = [
-        engine.run(huff_decode, g, book, out_dtype=out_dtype, table=table)
-        for g in groups
-    ]
+    futures = [engine.run(huff_decode, g, book, out_dtype=out_dtype) for g in groups]
     return np.concatenate([f.result() for f in futures])
 
 

@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["deflate_bytes", "inflate_bytes", "deflate_array", "deflated_size"]
+__all__ = ["deflate_bytes", "inflate_bytes", "deflate_array"]
 
 #: gzip's default compression level, used by CPU-SZ.
 DEFAULT_LEVEL = 6
@@ -32,7 +32,3 @@ def deflate_array(arr: np.ndarray, level: int = DEFAULT_LEVEL) -> bytes:
     """Compress an array's underlying bytes (C order)."""
     return zlib.compress(np.ascontiguousarray(arr).tobytes(), level)
 
-
-def deflated_size(arr: np.ndarray, level: int = DEFAULT_LEVEL) -> int:
-    """Size in bytes of the DEFLATE-compressed array (for ratio accounting)."""
-    return len(deflate_array(arr, level))

@@ -2,10 +2,7 @@
 
 The GPU kernel uses the replication-based shared-memory histogram of
 Gomez-Luna et al. [34]; functionally it is a plain frequency count, which is
-what :func:`histogram` computes.  :func:`chunked_histogram` reproduces the
-kernel's decomposition -- per-block private histograms followed by a
-reduction -- which is useful for validating the kernel cost model and as an
-illustration of the GPU algorithm.
+what :func:`histogram` computes.
 """
 
 from __future__ import annotations
@@ -14,33 +11,22 @@ import numpy as np
 
 from ..core.errors import EncodingError
 
-__all__ = ["histogram", "chunked_histogram", "probabilities", "most_likely_probability"]
+__all__ = ["histogram", "probabilities", "most_likely_probability"]
 
 
 def histogram(quant: np.ndarray, dict_size: int) -> np.ndarray:
-    """Frequencies of each quant-code symbol; shape ``(dict_size,)``."""
-    flat = np.asarray(quant).reshape(-1)
-    if flat.size and (int(flat.min()) < 0 or int(flat.max()) >= dict_size):
-        raise EncodingError("quant-codes outside [0, dict_size)")
-    return np.bincount(flat, minlength=dict_size).astype(np.int64)
+    """Frequencies of each quant-code symbol; shape ``(dict_size,)``.
 
-
-def chunked_histogram(quant: np.ndarray, dict_size: int, chunk: int = 1 << 15) -> np.ndarray:
-    """Histogram via per-chunk private counts + reduction (GPU decomposition).
-
-    Equal to :func:`histogram`; exists to mirror the replication-based GPU
-    kernel where each thread block accumulates into a private shared-memory
-    copy before a global reduction.
+    One ``bincount`` pass: it rejects negative codes itself, and a code of
+    ``dict_size`` or more shows as a longer count vector.
     """
-    flat = np.asarray(quant).reshape(-1)
-    if flat.size == 0:
-        return np.zeros(dict_size, dtype=np.int64)
-    n_chunks = (flat.size + chunk - 1) // chunk
-    partial = np.zeros((n_chunks, dict_size), dtype=np.int64)
-    for b in range(n_chunks):
-        seg = flat[b * chunk : (b + 1) * chunk]
-        partial[b] = np.bincount(seg, minlength=dict_size)
-    return partial.sum(axis=0)
+    try:
+        counts = np.bincount(np.asarray(quant).reshape(-1), minlength=dict_size)
+    except ValueError:
+        raise EncodingError("quant-codes outside [0, dict_size)") from None
+    if counts.size > dict_size:
+        raise EncodingError("quant-codes outside [0, dict_size)")
+    return counts.astype(np.int64, copy=False)
 
 
 def probabilities(freqs: np.ndarray) -> np.ndarray:

@@ -10,11 +10,19 @@ value alone determines both the code length and the symbol index.
 The alphabet is the quant-code dictionary (typically 1024 symbols, i.e.
 "multi-byte symbols" -- wider than one byte), which is the paper's ``h``
 stage as opposed to byte-oriented gzip (``g``).
+
+Building a codebook is the one super-linear stage of the lossless path, and
+a codebook depends only on its histogram; a decode table depends only on
+its codebook's length table.  :func:`codebook_for` and
+:func:`decode_table_for` memoize both per process, so fields, blocks and
+archives that share a quant-code distribution build each once.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,10 @@ __all__ = [
     "build_code_lengths",
     "build_codebook",
     "build_decode_table",
+    "codebook_for",
+    "decode_table_for",
+    "memo_counts",
+    "MEMO_ENTRIES",
 ]
 
 
@@ -300,9 +312,9 @@ class DecodeTable:
 def build_decode_table(book: CanonicalCodebook, fast_bits: int | None = None) -> DecodeTable:
     """Build the two-level decode table for ``book``.
 
-    Built once per codebook (and cached through the engine's
-    :class:`~repro.engine.cache.QuantCache` by the archive read path); the
-    construction is fully vectorized over the table.
+    The construction is fully vectorized over the table.  Decoders look
+    tables up through :func:`decode_table_for`, which builds each at most
+    once per distinct length table while it stays memoized.
     """
     if fast_bits is None:
         fast_bits = min(max(book.max_length, _FAST_BITS_MIN), _FAST_BITS_MAX)
@@ -369,6 +381,106 @@ def build_decode_table(book: CanonicalCodebook, fast_bits: int | None = None) ->
         slow_lengths=slow_lengths,
         slow_bias=slow_bias,
     )
+
+
+#: Entries each memo keeps; the least recently used is evicted first.  The
+#: widest values the library memoizes are 65,536-symbol run-length books
+#: (about 0.6 MB) and 14-bit decode tables (about 0.67 MB), so the two memos
+#: hold about 41 MB at most.
+MEMO_ENTRIES = 32
+
+_THREAD = threading.local()
+
+
+def _content_key(values: np.ndarray) -> tuple:
+    """An exact key for a count or length vector: its size plus the
+    positions and values of its nonzero entries (compact for the sparse
+    run-length alphabets, and collision-free unlike a digest)."""
+    nonzero = np.flatnonzero(values)
+    return values.size, nonzero.tobytes(), values[nonzero].tobytes()
+
+
+def _frozen(value):
+    """``value`` with every array field made read-only: a caller writing
+    into a shared book or table would corrupt every later hit."""
+    for field_value in vars(value).values():
+        if isinstance(field_value, np.ndarray):
+            field_value.setflags(write=False)
+    return value
+
+
+class _Memo:
+    """A lock-guarded LRU of values built from a content key's input.
+
+    Builds run outside the lock: two threads racing on one fresh key may
+    both build, which is harmless -- the builders are deterministic, so the
+    second insert replaces an identical value.
+    """
+
+    def __init__(self, build) -> None:
+        self._build = build
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key: tuple, arg):
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+        counts = getattr(_THREAD, "counts", None)
+        if counts is None:
+            counts = _THREAD.counts = [0, 0]
+        if value is not None:
+            counts[0] += 1
+        else:
+            counts[1] += 1
+            value = _frozen(self._build(arg))
+            with self._lock:
+                self._entries[key] = value
+                self._entries.move_to_end(key)
+                while len(self._entries) > MEMO_ENTRIES:
+                    self._entries.popitem(last=False)
+        return value
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+_BOOKS = _Memo(build_codebook)
+_TABLES = _Memo(build_decode_table)
+
+
+def codebook_for(freqs: np.ndarray) -> CanonicalCodebook:
+    """The canonical codebook of ``freqs``, shared and read-only.
+
+    Equal to ``build_codebook(freqs)`` -- construction is deterministic in
+    the histogram -- but built at most once while the histogram stays
+    memoized.
+    """
+    freqs = np.asarray(freqs, dtype=np.int64)
+    return _BOOKS.get(_content_key(freqs), freqs)
+
+
+def decode_table_for(book: CanonicalCodebook) -> DecodeTable:
+    """The decode table of ``book``, shared and read-only.
+
+    Keyed on the length table alone, which fully determines the canonical
+    codes and hence the table: every archive, block or chunk group coded
+    with one codebook decodes through one table.
+    """
+    return _TABLES.get(_content_key(np.asarray(book.lengths, dtype=np.uint8)), book)
+
+
+def memo_counts() -> tuple[int, int]:
+    """``(hits, misses)`` of the memo lookups this thread has made.
+
+    Counted per thread so that the difference around a job or a compress
+    call is that call's own lookups, even while other threads look up
+    concurrently.
+    """
+    hits, misses = getattr(_THREAD, "counts", (0, 0))
+    return hits, misses
 
 
 #: :func:`lookup_lengths` gathers this many symbols at a time (the slab size

@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core.errors import EncodingError
 from .bitio import bits_to_bytes, pack_words_into, peek_bits_prepadded, unpack_to_bits
-from .huffman import CanonicalCodebook, DecodeTable, build_decode_table, lookup_lengths
+from .huffman import CanonicalCodebook, DecodeTable, decode_table_for, lookup_lengths
 
 __all__ = [
     "HuffmanEncoded",
@@ -236,8 +236,8 @@ def decode(
     payload bits; the cross-chunk lockstep (:func:`decode_lut_lockstep`)
     otherwise, whose cost is the chunk size over the packing factor in
     Python-level steps.  Both return identical symbols and raise on the
-    same corrupt streams.  ``table`` is built from ``book`` when not
-    supplied (the archive read path passes a cached one).
+    same corrupt streams.  Without ``table``, the table comes from the
+    process-wide memo (:func:`~repro.encoding.huffman.decode_table_for`).
     """
     return _decode_lut(encoded, book, out_dtype, table, regime=None)
 
@@ -306,7 +306,7 @@ def _decode_lut(encoded, book, out_dtype, table, regime):
     if encoded.n_symbols == 0:
         return np.zeros(0, dtype=out_dtype)
     if table is None:
-        table = build_decode_table(book)
+        table = decode_table_for(book)
     starts, chunk_bits, per_chunk = _chunk_layout(encoded)
     payload = np.asarray(encoded.payload, dtype=np.uint8)
     # Nine zero bytes: a slow-level peek of up to 63 bits at the overrun

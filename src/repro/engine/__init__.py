@@ -1,4 +1,4 @@
-"""Parallel batch/block compression engine (executor backends + shared cache).
+"""Parallel batch/block compression engine (executor backends).
 
 Public surface:
 
@@ -9,30 +9,25 @@ Public surface:
   config ``backend`` field > ``REPRO_ENGINE_BACKEND`` env > ``thread``);
 * :class:`ExecutorBackend` / :data:`BACKEND_NAMES` -- the backend protocol
   and the valid names;
-* :class:`QuantCache` / :func:`cache_scope` -- the cross-block
-  codebook/histogram cache keyed by quant-code distribution fingerprint;
 * :func:`default_jobs` -- the worker count used when none is requested;
 * :func:`run_scaling_sweep` / :func:`compare_backends` /
   :class:`ScalingReport` -- worker-count sweeps with per-point
   CPU-vs-lock-wait-vs-IPC breakdowns (``repro obs scaling``).
 
-``repro.engine.core`` is imported lazily: :mod:`repro.core.workflow` pulls
-in the cache hooks at import time, and an eager import here would close a
-cycle back through :mod:`repro.core.compressor`.
+Codebooks and decode tables are shared through the process-wide memo in
+:mod:`repro.encoding.huffman`, not through the engine; the engine only
+accounts each job's memo hits and misses.
 """
 
 from __future__ import annotations
 
-from .cache import QuantCache, active_cache, cache_scope, cached_codebook, cached_histogram
+from .backends import BACKEND_NAMES, ExecutorBackend, get_executor, resolve_backend_name
+from .core import CompressionEngine, default_jobs
+from .diagnostics import ScalingPoint, ScalingReport, compare_backends, run_scaling_sweep
 
 __all__ = [
     "CompressionEngine",
     "default_jobs",
-    "QuantCache",
-    "active_cache",
-    "cache_scope",
-    "cached_codebook",
-    "cached_histogram",
     "BACKEND_NAMES",
     "ExecutorBackend",
     "get_executor",
@@ -42,27 +37,3 @@ __all__ = [
     "compare_backends",
     "run_scaling_sweep",
 ]
-
-_LAZY = {"CompressionEngine", "default_jobs"}
-_LAZY_BACKENDS = {"BACKEND_NAMES", "ExecutorBackend", "get_executor", "resolve_backend_name"}
-_LAZY_DIAG = {"ScalingPoint", "ScalingReport", "compare_backends", "run_scaling_sweep"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from . import core
-
-        return getattr(core, name)
-    if name in _LAZY_BACKENDS:
-        from . import backends
-
-        return getattr(backends, name)
-    if name in _LAZY_DIAG:
-        from . import diagnostics
-
-        return getattr(diagnostics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)

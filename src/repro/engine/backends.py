@@ -29,10 +29,11 @@ between inline-serial execution and a (possibly caller-owned) engine.
 Worker-state re-initialization rules for the process backend: workers do
 not inherit the parent's context variables, so each job ships the captured
 effective telemetry switch and re-applies it around the job body; each
-worker process keeps its own :class:`~repro.engine.cache.QuantCache`
-(hit/miss deltas travel back in the result frame), and ledger writes
-inside workers follow the job config's ``ledger`` path (the ledger format
-is append-only JSONL and tolerant of concurrent writers).
+worker process has its own codebook and decode-table memo
+(:func:`~repro.encoding.huffman.codebook_for`), whose hit/miss delta over
+the job travels back in the result frame; and ledger writes inside workers
+follow the job config's ``ledger`` path (the ledger format is append-only
+JSONL and tolerant of concurrent writers).
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..core.errors import ConfigError, EngineError
+from ..encoding.huffman import memo_counts
 from ..telemetry.context import enabled as _tel_enabled, scope as _tel_scope
-from .cache import QuantCache, cache_scope
 
 __all__ = [
     "BACKEND_NAMES",
@@ -98,7 +99,6 @@ def get_executor(
     jobs: int | None = None,
     config=None,
     max_inflight: int | None = None,
-    cache_entries: int = 256,
 ):
     """Resolve to a ready :class:`~repro.engine.CompressionEngine`.
 
@@ -112,8 +112,7 @@ def get_executor(
     if isinstance(backend, CompressionEngine):
         return backend
     return CompressionEngine(
-        config, jobs=jobs, max_inflight=max_inflight,
-        cache_entries=cache_entries, backend=backend,
+        config, jobs=jobs, max_inflight=max_inflight, backend=backend
     )
 
 
@@ -132,15 +131,7 @@ def resolve_execution(backend=None, jobs: int | None = None, config=None):
     if isinstance(backend, CompressionEngine):
         return backend, False
     explicit = backend is not None
-    name = backend
-    if name is None and config is not None:
-        name = getattr(config, "backend", None)
-    if name is None:
-        name = os.environ.get(ENV_BACKEND) or None
-    if name is not None and name not in BACKEND_NAMES:
-        raise ConfigError(
-            f"unknown engine backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
+    name = resolve_backend_name(backend, config)
     parallel = jobs is not None and int(jobs) != 1
     if name == "serial":
         if parallel and explicit:
@@ -152,7 +143,7 @@ def resolve_execution(backend=None, jobs: int | None = None, config=None):
         # Config/env backends are advisory: they pick *which* pool serves a
         # parallel request, they never promote a plain serial call.
         return None, False
-    return CompressionEngine(config, jobs=jobs, backend=name or "thread"), True
+    return CompressionEngine(config, jobs=jobs, backend=name), True
 
 
 @runtime_checkable
@@ -445,12 +436,12 @@ class ProcessBackend:
             if lease is not None:
                 self._arena.release(lease)
             if frame is not None:
-                self._engine._finish_remote_job(
-                    frame["pid"], frame["wall"], frame["cpu"],
-                    cache_delta=frame["cache"], tel_on=tel_on,
+                self._engine._finish_job(
+                    frame["pid"], frame["wall"], frame["cpu"], frame["memo"],
+                    tel_on=tel_on,
                 )
             else:
-                self._engine._finish_remote_job(None, 0.0, 0.0, tel_on=False)
+                self._engine._finish_job(None, 0.0, 0.0)
 
     def shutdown(self, wait: bool = True) -> None:
         self._pool.shutdown(wait=wait, cancel_futures=not wait)
@@ -474,15 +465,7 @@ def make_backend(name: str, engine, jobs: int):
 # ---------------------------------------------------------------------------
 
 
-_WORKER_CACHE: QuantCache | None = None
 _ATTACHED: dict = {}
-
-
-def _worker_cache() -> QuantCache:
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = QuantCache(256)
-    return _WORKER_CACHE
 
 
 def _attach_shm(name: str):
@@ -518,55 +501,51 @@ def _attach_shm(name: str):
     return shm
 
 
+def _measured(tel_on: bool, body) -> dict:
+    """Run one job body under the shipped telemetry switch and frame its
+    result dict with what the parent's completion hook reads."""
+    wall0 = time.perf_counter()
+    cpu0 = time.thread_time()
+    hits0, misses0 = memo_counts()
+    with _tel_scope(tel_on):
+        frame = body()
+    hits, misses = memo_counts()
+    frame.update(
+        wall=time.perf_counter() - wall0,
+        cpu=time.thread_time() - cpu0,
+        pid=os.getpid(),
+        memo=(hits - hits0, misses - misses0),
+    )
+    return frame
+
+
 def _process_compress_job(desc: dict, tel_on: bool) -> dict:
     """Worker body for the zero-copy compress path: map, compress, write
     the archive into the segment's output region, frame the metadata."""
     from ..core.compressor import compress
 
-    wall0 = time.perf_counter()
-    cpu0 = time.thread_time()
-    shm = _attach_shm(desc["shm"])
-    view = np.frombuffer(
-        shm.buf, dtype=np.dtype(desc["dtype"]), count=desc["count"]
-    ).reshape(desc["shape"])
-    cache = _worker_cache()
-    hits0, misses0 = cache.stats.hits, cache.stats.misses
-    with _tel_scope(tel_on), cache_scope(cache):
+    def body() -> dict:
+        shm = _attach_shm(desc["shm"])
+        view = np.frombuffer(
+            shm.buf, dtype=np.dtype(desc["dtype"]), count=desc["count"]
+        ).reshape(desc["shape"])
         result = compress(view, desc["config"])
-    alen = len(result.archive)
-    inline = None
-    if alen <= desc["out_cap"]:
-        out_off = desc["out_off"]
-        shm.buf[out_off : out_off + alen] = result.archive
-    else:  # pragma: no cover - output region is sized input+headroom
-        inline = result.archive
-    result.archive = b""
-    return {
-        "result": result,
-        "alen": alen,
-        "inline": inline,
-        "wall": time.perf_counter() - wall0,
-        "cpu": time.thread_time() - cpu0,
-        "pid": os.getpid(),
-        "cache": (cache.stats.hits - hits0, cache.stats.misses - misses0),
-    }
+        alen = len(result.archive)
+        inline = None
+        if alen <= desc["out_cap"]:
+            out_off = desc["out_off"]
+            shm.buf[out_off : out_off + alen] = result.archive
+        else:  # pragma: no cover - output region is sized input+headroom
+            inline = result.archive
+        result.archive = b""
+        return {"result": result, "alen": alen, "inline": inline}
+
+    return _measured(tel_on, body)
 
 
 def _process_run_job(fn, args: tuple, kwargs: dict, tel_on: bool) -> dict:
     """Worker body for arbitrary ``engine.run`` callables (pickled args)."""
-    wall0 = time.perf_counter()
-    cpu0 = time.thread_time()
-    cache = _worker_cache()
-    hits0, misses0 = cache.stats.hits, cache.stats.misses
-    with _tel_scope(tel_on), cache_scope(cache):
-        value = fn(*args, **kwargs)
-    return {
-        "result": value,
-        "wall": time.perf_counter() - wall0,
-        "cpu": time.thread_time() - cpu0,
-        "pid": os.getpid(),
-        "cache": (cache.stats.hits - hits0, cache.stats.misses - misses0),
-    }
+    return _measured(tel_on, lambda: {"result": fn(*args, **kwargs)})
 
 
 def _hard_exit(code: int = 3) -> None:  # pragma: no cover - dies in the worker

@@ -20,10 +20,11 @@ Guarantees (identical across backends):
 * **deterministic output ordering** -- :meth:`map`/:meth:`batch` return
   results in submission order, so a parallel multi-block container is
   byte-identical to the serial one;
-* **cross-block codebook/histogram cache** -- thread workers share a
-  :class:`~repro.engine.cache.QuantCache`; process workers keep a
-  per-process cache whose hit/miss deltas fold back into the engine's
-  counters;
+* **one memo accounting path** -- every job looks codebooks and decode
+  tables up in its process's memo
+  (:func:`~repro.encoding.huffman.codebook_for`,
+  :func:`~repro.encoding.huffman.decode_table_for`); the hit/miss delta of
+  each job, measured where it runs, folds into the engine's counters;
 * **telemetry continuity** -- thread jobs run in a ``contextvars`` copy of
   the submitting context; process jobs re-apply the captured telemetry
   switch in the worker.
@@ -42,10 +43,10 @@ import numpy as np
 from ..core.compressor import CompressionResult, compress
 from ..core.config import CompressorConfig
 from ..core.errors import ConfigError
+from ..encoding.huffman import memo_counts
 from ..telemetry import instruments as ins
 from ..telemetry.context import enabled as _tel_enabled
 from .backends import make_backend, resolve_backend_name
-from .cache import QuantCache, cache_scope
 
 __all__ = ["CompressionEngine", "default_jobs"]
 
@@ -73,8 +74,6 @@ class CompressionEngine:
     max_inflight:
         Backpressure bound on queued-plus-running jobs; defaults to
         ``2 * jobs``.  :meth:`submit` blocks once the bound is reached.
-    cache_entries:
-        LRU capacity of the shared codebook/histogram cache.
     backend:
         ``"serial"``, ``"thread"``, or ``"process"``; ``None`` resolves via
         the config's ``backend`` field, then the ``REPRO_ENGINE_BACKEND``
@@ -86,7 +85,6 @@ class CompressionEngine:
         config: CompressorConfig | None = None,
         jobs: int | None = None,
         max_inflight: int | None = None,
-        cache_entries: int = 256,
         backend: str | None = None,
     ) -> None:
         self.config = config or CompressorConfig()
@@ -108,7 +106,6 @@ class CompressionEngine:
                 f"max_inflight ({self.max_inflight}) must be >= jobs ({self.jobs}); "
                 "a smaller bound would idle workers permanently"
             )
-        self.cache = QuantCache(cache_entries)
         self._slots = threading.BoundedSemaphore(self.max_inflight)
         self._depth_lock = threading.Lock()
         self._depth = 0
@@ -123,7 +120,7 @@ class CompressionEngine:
         # the scaling diagnostics exist to measure.
         self._worker_lock = threading.Lock()
         self._workers: dict[int, list] = {}
-        self._remote_cache = [0, 0]  # (hits, misses) folded in from workers
+        self._memo = [0, 0]  # (hits, misses) summed over every job's delta
         # Queue-depth timeline: (perf_counter, depth) at every transition,
         # bounded so a long-lived engine cannot grow it without limit.
         self._depth_samples: deque[tuple[float, int]] = deque(maxlen=4096)
@@ -204,7 +201,7 @@ class CompressionEngine:
         wall = sum(w["wall_seconds"] for w in workers.values())
         cpu = sum(w["cpu_seconds"] for w in workers.values())
         with self._worker_lock:
-            remote_hits, remote_misses = self._remote_cache
+            hits, misses = self._memo
         return {
             "backend": self.backend,
             "jobs": self.jobs,
@@ -220,10 +217,7 @@ class CompressionEngine:
             "workers": [
                 {"tid": tid, **stats} for tid, stats in sorted(workers.items())
             ],
-            "cache": {
-                "hits": self.cache.stats.hits + remote_hits,
-                "misses": self.cache.stats.misses + remote_misses,
-            },
+            "cache": {"hits": hits, "misses": misses},
         }
 
     # -- submission ---------------------------------------------------------
@@ -236,13 +230,12 @@ class CompressionEngine:
     ) -> "Future[CompressionResult]":
         """Schedule one compression job; blocks when the pool is saturated.
 
-        The job runs :func:`repro.compress` on a worker under the engine's
-        cache.  Thread workers execute in a copy of the submitting context
-        (so an open telemetry span in the caller becomes the parent of the
-        worker's ``compress`` span, and ``telemetry.scope`` overrides
-        propagate); process workers re-apply the captured telemetry switch
-        instead, and take the zero-copy shared-memory path for the field
-        payload.
+        The job runs :func:`repro.compress` on a worker.  Thread workers
+        execute in a copy of the submitting context (so an open telemetry
+        span in the caller becomes the parent of the worker's ``compress``
+        span, and ``telemetry.scope`` overrides propagate); process workers
+        re-apply the captured telemetry switch instead, and take the
+        zero-copy shared-memory path for the field payload.
         """
         cfg = config or self.config
         if overrides:
@@ -252,10 +245,10 @@ class CompressionEngine:
     def run(self, fn, *args, **kwargs) -> "Future":
         """Schedule an arbitrary callable on the worker pool.
 
-        The decode-side counterpart of :meth:`submit`: the callable runs
-        under the engine's cache (so decode tables built for one chunk
-        group or block are reused by the next), with the same backpressure,
-        ordering, and accounting guarantees.  ``decompress(jobs=...)`` uses
+        The decode-side counterpart of :meth:`submit`, with the same
+        backpressure, ordering, and accounting guarantees (decode tables a
+        worker built for one chunk group or block are reused by the next
+        through its process's memo).  ``decompress(jobs=...)`` uses
         this to fan chunk groups and blocks out across workers.  On the
         process backend the callable and its arguments must be picklable.
         """
@@ -309,52 +302,55 @@ class CompressionEngine:
         # engine counters too, not just the inner spans.
         wall0 = time.perf_counter()
         cpu0 = time.thread_time()
+        hits0, misses0 = memo_counts()
         try:
-            with cache_scope(self.cache):
-                return fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         finally:
-            wall = time.perf_counter() - wall0
-            cpu = time.thread_time() - cpu0
-            self._record_worker(threading.get_ident(), wall, cpu)
-            self._slots.release()
-            self._note_depth(-1)
-            if _tel_enabled():
-                ins.ENGINE_JOBS.inc()
-                ins.ENGINE_WORKER_SECONDS.inc(wall, kind="wall")
-                ins.ENGINE_WORKER_SECONDS.inc(cpu, kind="cpu")
+            hits, misses = memo_counts()
+            self._finish_job(
+                threading.get_ident(),
+                time.perf_counter() - wall0,
+                time.thread_time() - cpu0,
+                (hits - hits0, misses - misses0),
+                tel_on=_tel_enabled(),
+            )
 
-    def _finish_remote_job(
+    def _finish_job(
         self,
         worker_id: int | None,
         wall: float,
         cpu: float,
-        cache_delta: tuple[int, int] | None = None,
+        memo: tuple[int, int] = (0, 0),
         tel_on: bool = False,
     ) -> None:
-        # Process-backend completion hook (runs on the pool's result
-        # thread, which has no submit-time context -- telemetry intent was
-        # captured at submit as ``tel_on``).  A failed job has no worker
-        # frame: still release the slot so the batch cannot hang, but skip
-        # the stats.
+        # Completion hook of every backend, run once per scheduled job: in
+        # the job's own context for serial/thread jobs, on the pool's result
+        # thread for process jobs (which has no submit-time context, so
+        # telemetry intent was captured at submit as ``tel_on``).  ``memo``
+        # is the job's (hits, misses) delta, measured where it ran.  A
+        # failed process job has no worker frame: still release the slot so
+        # the batch cannot hang, but skip the stats.
         if worker_id is not None:
-            self._record_worker(worker_id, wall, cpu)
-            if cache_delta is not None:
-                with self._worker_lock:
-                    self._remote_cache[0] += int(cache_delta[0])
-                    self._remote_cache[1] += int(cache_delta[1])
+            self._record_worker(worker_id, wall, cpu, memo)
         self._slots.release()
         self._note_depth(-1)
         if tel_on and worker_id is not None:
             ins.ENGINE_JOBS.inc()
             ins.ENGINE_WORKER_SECONDS.inc(wall, kind="wall")
             ins.ENGINE_WORKER_SECONDS.inc(cpu, kind="cpu")
+            ins.ENGINE_CACHE_HITS.inc(memo[0])
+            ins.ENGINE_CACHE_MISSES.inc(memo[1])
 
-    def _record_worker(self, worker_id: int, wall: float, cpu: float) -> None:
+    def _record_worker(
+        self, worker_id: int, wall: float, cpu: float, memo: tuple[int, int]
+    ) -> None:
         with self._worker_lock:
             slot = self._workers.setdefault(worker_id, [0.0, 0.0, 0])
             slot[0] += wall
             slot[1] += cpu
             slot[2] += 1
+            self._memo[0] += memo[0]
+            self._memo[1] += memo[1]
 
     def _note_depth(self, delta: int) -> None:
         with self._depth_lock:
@@ -371,6 +367,5 @@ class CompressionEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CompressionEngine(backend={self.backend!r}, jobs={self.jobs}, "
-            f"max_inflight={self.max_inflight}, depth={self.queue_depth}, "
-            f"cache={self.cache.stats!r})"
+            f"max_inflight={self.max_inflight}, depth={self.queue_depth})"
         )

@@ -188,8 +188,8 @@ def make_sweep_fields(
 ) -> list[np.ndarray]:
     """Deterministic, mutually distinct smooth fields for the sweep.
 
-    Each field gets its own seed so the engine's histogram/codebook cache
-    cannot short-circuit the workload into a cache-hit microbenchmark.
+    Each field gets its own seed so the codebook memo cannot short-circuit
+    the batch into one build shared by every field.
     """
     fields = []
     x = np.linspace(0.0, 8.0, shape[-1], dtype=np.float32)
@@ -212,9 +212,11 @@ def run_scaling_sweep(
 ) -> ScalingReport:
     """Run the identical batch at each worker count; best-of-``repeats``.
 
-    Every point uses a fresh engine (fresh cache, fresh accounting, fresh
-    worker pool -- process-backend spawn cost is part of what's measured)
-    so the breakdown attributes to that worker count alone.  The baseline
+    Every point uses a fresh engine (fresh accounting, fresh worker pool --
+    process-backend spawn cost is part of what's measured) so the breakdown
+    attributes to that worker count alone.  Process workers start with an
+    empty codebook memo; in-process backends share the caller's, so their
+    repeats after the first reuse its codebooks.  The baseline
     for speedup is the first entry of ``jobs_list`` (conventionally 1).
     """
     import time

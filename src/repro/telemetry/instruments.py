@@ -26,7 +26,8 @@ suffix on counters, base-unit ``_seconds``/``_bytes``):
 * ``repro_engine_jobs_total`` -- compression jobs completed by the parallel
   engine's worker pool
 * ``repro_engine_cache_hits_total`` / ``repro_engine_cache_misses_total`` --
-  codebook/histogram cache outcomes (a hit skips Huffman tree construction)
+  codebook and decode-table memo lookups made inside engine jobs (a hit
+  skips a Huffman tree or decode-table build)
 * ``repro_engine_queue_depth`` (gauge) -- engine jobs queued or running,
   bounded by the engine's ``max_inflight`` backpressure limit
 * ``repro_engine_queue_depth_max`` (gauge) -- high-water mark of the queue
@@ -132,10 +133,10 @@ ENGINE_JOBS = REGISTRY.counter(
     "repro_engine_jobs_total", "Compression jobs completed by the engine worker pool")
 ENGINE_CACHE_HITS = REGISTRY.counter(
     "repro_engine_cache_hits_total",
-    "Engine codebook/histogram cache hits (tree construction skipped)")
+    "Codebook/decode-table memo hits inside engine jobs (build skipped)")
 ENGINE_CACHE_MISSES = REGISTRY.counter(
     "repro_engine_cache_misses_total",
-    "Engine codebook/histogram cache misses (entry built and stored)")
+    "Codebook/decode-table memo misses inside engine jobs (entry built and stored)")
 ENGINE_QUEUE_DEPTH = REGISTRY.gauge(
     "repro_engine_queue_depth",
     "Engine jobs currently queued or running (bounded by max_inflight)")

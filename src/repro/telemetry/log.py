@@ -28,7 +28,7 @@ import time
 
 from .context import current_span
 
-__all__ = ["StructuredLogger", "get_logger", "log_event"]
+__all__ = ["StructuredLogger", "get_logger"]
 
 _LOCK = threading.Lock()
 
@@ -78,7 +78,3 @@ class StructuredLogger:
 def get_logger(name: str) -> StructuredLogger:
     return StructuredLogger(name)
 
-
-def log_event(logger: str, event: str, **fields) -> dict | None:
-    """One-shot convenience wrapper over :meth:`StructuredLogger.event`."""
-    return StructuredLogger(logger).event(event, **fields)

@@ -119,19 +119,21 @@ class TestWorkflows:
     @pytest.mark.parametrize("wf", ["huffman", "huffman+lz"])
     def test_one_histogram_pass_per_huffman_compress(self, monkeypatch, field_2d, wf):
         """The Huffman stage reuses the histogram the selector was given."""
-        import repro.engine.cache as cache_mod
+        import repro.core.compressor as compressor_mod
+        import repro.core.workflow as workflow_mod
         from repro.core.archive import ArchiveBuilder, ArchiveReader
         from repro.core.dual_quant import quantize_field
         from repro.core.workflow import emit_huffman_sections
+        from repro.encoding.histogram import histogram
 
-        real = cache_mod._histogram
         calls = []
 
         def counting(symbols, dict_size):
             calls.append(np.asarray(symbols).size)
-            return real(symbols, dict_size)
+            return histogram(symbols, dict_size)
 
-        monkeypatch.setattr(cache_mod, "_histogram", counting)
+        monkeypatch.setattr(compressor_mod, "histogram", counting)
+        monkeypatch.setattr(workflow_mod, "histogram", counting)
         cfg = CompressorConfig(eb=1e-3, workflow=wf)
         res = repro.compress(field_2d, cfg)
         assert res.workflow == wf

@@ -1,11 +1,13 @@
 """Tests for the parallel batch-compression engine and the unified codec API.
 
 Covers the engine's four guarantees (future semantics, backpressure,
-deterministic ordering, shared codebook cache), the single ``decompress``
-front door across all three container kinds, the ``mode=`` config alias,
-and the pwrel path raising no deprecation warning.
+deterministic ordering, memo accounting), the process-wide codebook and
+decode-table memo every backend shares, the single ``decompress`` front door
+across all three container kinds, the ``mode=`` config alias, and the pwrel
+path raising no deprecation warning.
 """
 
+import itertools
 import threading
 import warnings
 from pathlib import Path
@@ -24,8 +26,16 @@ from repro.core.streaming import (
     decompress_blocks,
     decompress_blocks_with_stats,
 )
+from repro.encoding import huffman
+from repro.encoding.huffman import (
+    MEMO_ENTRIES,
+    DecodeTable,
+    build_codebook,
+    codebook_for,
+    decode_table_for,
+    memo_counts,
+)
 from repro.engine import CompressionEngine
-from repro.engine.cache import QuantCache, cache_scope, cached_codebook
 from repro.telemetry import instruments as ins
 
 VECTOR_DIR = Path(__file__).parent / "vectors"
@@ -70,12 +80,6 @@ class TestEngineSemantics:
         with CompressionEngine(jobs=2) as eng:
             futures = [eng.run(lambda a, b: a + b, i, b=i * 10) for i in range(8)]
             assert [f.result() for f in futures] == [11 * i for i in range(8)]
-
-    def test_run_executes_under_engine_cache_scope(self):
-        from repro.engine.cache import active_cache
-
-        with CompressionEngine(jobs=1) as eng:
-            assert eng.run(lambda: active_cache() is eng.cache).result()
 
     def test_run_after_shutdown_raises(self):
         eng = CompressionEngine(jobs=1)
@@ -203,36 +207,150 @@ class TestEngineTelemetry:
         assert len(compress_children) == 2
 
 
+#: Alphabet sizes no other test histograms: each call of
+#: :func:`unique_freqs` gives a histogram, codebook and length table the
+#: process-wide memo has not seen in this session.
+_UNSEEN_SIZES = itertools.count(3001)
+
+
+def unique_freqs():
+    freqs = np.full(next(_UNSEEN_SIZES), 3, dtype=np.int64)
+    freqs[:3] = (50, 20, 9)
+    return freqs
+
+
+def memo_delta(before):
+    hits, misses = memo_counts()
+    return hits - before[0], misses - before[1]
+
+
 class TestEngineCache:
+    """The process-wide codebook and decode-table memo."""
+
     def test_cache_reuses_codebooks(self):
-        cache = QuantCache(16)
-        freqs = np.array([5, 1, 0, 9, 3], dtype=np.int64)
-        with cache_scope(cache):
-            first = cached_codebook(freqs)
-            second = cached_codebook(freqs.copy())
+        freqs = unique_freqs()
+        before = memo_counts()
+        first = codebook_for(freqs)
+        second = codebook_for(freqs.copy())
         assert first is second
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert memo_delta(before) == (1, 1)
+        assert decode_table_for(first) is decode_table_for(build_codebook(freqs))
+        assert memo_delta(before) == (2, 2)
 
     def test_cache_differentiates_distributions(self):
-        cache = QuantCache(16)
-        with cache_scope(cache):
-            a = cached_codebook(np.array([5, 1, 9], dtype=np.int64))
-            b = cached_codebook(np.array([5, 2, 9], dtype=np.int64))
+        freqs = unique_freqs()
+        other = freqs.copy()
+        other[-1] += 1
+        before = memo_counts()
+        a = codebook_for(freqs)
+        b = codebook_for(other)
         assert a is not b
-        assert cache.stats.misses == 2
-
-    def test_no_active_cache_falls_through(self):
-        freqs = np.array([3, 3, 3], dtype=np.int64)
-        a = cached_codebook(freqs)
-        b = cached_codebook(freqs)
-        assert a is not b  # no cache in scope: fresh construction each time
+        assert memo_delta(before) == (0, 2)
+        np.testing.assert_array_equal(a.lengths, build_codebook(freqs).lengths)
 
     def test_lru_eviction_bounds_memory(self):
-        cache = QuantCache(2)
-        with cache_scope(cache):
-            for k in range(5):
-                cached_codebook(np.array([1, k + 1], dtype=np.int64))
-        assert len(cache) <= 2
+        keep, drop = unique_freqs(), unique_freqs()
+        codebook_for(keep)
+        codebook_for(drop)
+        for _ in range(MEMO_ENTRIES - 2):
+            codebook_for(unique_freqs())
+        codebook_for(keep)  # now the most recently used
+        codebook_for(unique_freqs())  # full: evicts the least recently used
+        assert len(huffman._BOOKS) == MEMO_ENTRIES
+        before = memo_counts()
+        codebook_for(keep)
+        assert memo_delta(before) == (1, 0)
+        codebook_for(drop)
+        assert memo_delta(before) == (1, 1)
+
+    def test_decode_table_eviction_bounds_memory(self):
+        books = [build_codebook(unique_freqs()) for _ in range(MEMO_ENTRIES + 1)]
+        for book in books:
+            decode_table_for(book)
+        assert len(huffman._TABLES) == MEMO_ENTRIES
+        before = memo_counts()
+        decode_table_for(books[-1])
+        decode_table_for(books[0])
+        assert memo_delta(before) == (1, 1)
+
+    def test_memoized_books_and_tables_are_read_only(self):
+        book = codebook_for(unique_freqs())
+        table = decode_table_for(book)
+        for array in (
+            book.lengths, book.codes, book.sorted_symbols, book.first_code,
+            book.first_index, table.nsym, table.syms, table.cumlen,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_library_compress_and_decompress_share_the_memo(self):
+        field = make_field(31)
+        repro.compress(field, eb=1e-3, workflow="huffman")
+        before = memo_counts()
+        blob = repro.compress(field, eb=1e-3, workflow="huffman").archive
+        assert memo_delta(before) == (1, 0)
+        repro.decompress(blob)
+        before = memo_counts()
+        repro.decompress(blob)
+        assert memo_delta(before) == (1, 0)
+
+
+class TestNoDecodeTableRebuild:
+    """A second ``decompress`` of one archive builds no decode table, on
+    every backend -- a single v3 archive's chunk groups included."""
+
+    def _count_builds(self, monkeypatch):
+        builds = []
+        real_init = DecodeTable.__init__
+
+        def counting_init(table, *args, **kwargs):
+            builds.append(threading.get_ident())
+            real_init(table, *args, **kwargs)
+
+        monkeypatch.setattr(DecodeTable, "__init__", counting_init)
+        return builds
+
+    def test_serial(self, monkeypatch):
+        blob, _ = TestParallelDecode._chunky_archive()
+        first = repro.decompress(blob)
+        builds = self._count_builds(monkeypatch)
+        np.testing.assert_array_equal(repro.decompress(blob), first)
+        assert builds == []
+
+    def test_thread_engine_chunk_groups(self, monkeypatch):
+        blob, _ = TestParallelDecode._chunky_archive()
+        with CompressionEngine(jobs=2, backend="thread") as eng:
+            first = repro.decompress(blob, backend=eng)
+            builds = self._count_builds(monkeypatch)
+            snap0 = eng.diagnostics_snapshot()["cache"]
+            np.testing.assert_array_equal(repro.decompress(blob, backend=eng), first)
+            snap1 = eng.diagnostics_snapshot()["cache"]
+        assert builds == []
+        # Both chunk groups looked the table up inside engine jobs.
+        assert snap1["hits"] - snap0["hits"] == 2
+        assert snap1["misses"] == snap0["misses"]
+
+    def test_process_engine_chunk_groups(self):
+        blob, _ = TestParallelDecode._chunky_archive()
+        rounds = 4
+        with CompressionEngine(jobs=2, backend="process") as eng:
+            first = repro.decompress(blob, backend=eng)
+            for _ in range(rounds - 1):
+                np.testing.assert_array_equal(repro.decompress(blob, backend=eng), first)
+            cache = eng.diagnostics_snapshot()["cache"]
+        # Two chunk groups per round, each looked up in its worker's memo;
+        # each of the two workers builds the table at most once.
+        assert cache["hits"] + cache["misses"] == 2 * rounds
+        assert 1 <= cache["misses"] <= eng.jobs
+
+    def test_process_engine_reports_hits_for_a_repeated_field(self):
+        field = make_field(32)
+        with CompressionEngine(jobs=1, backend="process") as eng:
+            eng.map([field, field], eb=1e-3, workflow="huffman")
+            cache = eng.diagnostics_snapshot()["cache"]
+        # One codebook lookup per compress: built by the first, reused by
+        # the second.
+        assert cache == {"hits": 1, "misses": 1}
 
 
 class TestParallelByteIdentity:
@@ -274,7 +392,8 @@ class TestParallelByteIdentity:
 class TestParallelDecode:
     """``decompress(jobs=N)`` fans v3 chunk groups / blocks across workers."""
 
-    def _chunky_archive(self):
+    @staticmethod
+    def _chunky_archive():
         # Small chunks so the single-field stream clears the chunk-group
         # dispatch threshold and actually splits.
         field = make_field(7, shape=(64, 64))

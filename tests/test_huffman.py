@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.entropy import shannon_entropy
 from repro.core.errors import CodebookOverflowError, EncodingError
+from repro.encoding.histogram import histogram
 from repro.encoding.huffman import (
     CanonicalCodebook,
     build_code_lengths,
@@ -39,6 +40,25 @@ def random_symbols(rng, n, alphabet, skew=1.5):
     p = 1.0 / np.arange(1, alphabet + 1) ** skew
     p /= p.sum()
     return rng.choice(alphabet, size=n, p=p).astype(np.uint16)
+
+
+class TestHistogram:
+    def test_counts_every_code(self):
+        codes = np.array([0, 3, 3, 7, 0, 3], dtype=np.uint16)
+        freqs = histogram(codes, 8)
+        assert freqs.dtype == np.int64
+        np.testing.assert_array_equal(freqs, [2, 0, 0, 3, 0, 0, 0, 1])
+
+    def test_empty_stream_counts_nothing(self):
+        np.testing.assert_array_equal(histogram(np.zeros(0, np.uint16), 4), [0] * 4)
+
+    def test_code_equal_to_dict_size_raises(self):
+        with pytest.raises(EncodingError, match="outside"):
+            histogram(np.array([0, 1, 8], dtype=np.uint16), 8)
+
+    def test_negative_code_raises(self):
+        with pytest.raises(EncodingError, match="outside"):
+            histogram(np.array([0, -1, 2], dtype=np.int32), 8)
 
 
 class TestCodeLengths:
