@@ -64,6 +64,9 @@ _META = struct.Struct("<BBBBIII4Q4IdQQQd")
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+#: Ledger spelling of each dtype; ``str(dtype)`` runs numpy's Python-level
+#: formatter, which costs more than the rest of a record's fields.
+_DTYPE_NAMES = {dt: dt.name for dt in _DTYPE_CODES}
 _WORKFLOW_CODES = {"huffman": 0, "rle": 1, "rle+vle": 2, "huffman+lz": 3}
 _CODE_WORKFLOWS = {v: k for k, v in _WORKFLOW_CODES.items()}
 _PREDICTOR_CODES = {"lorenzo": 0, "regression": 1, "interp": 2}
@@ -266,7 +269,7 @@ def _compress_impl(data: np.ndarray, config: CompressorConfig) -> CompressionRes
                 "dict_size": config.dict_size,
             },
             shape=[int(s) for s in bundle.shape],
-            dtype=str(data.dtype),
+            dtype=_DTYPE_NAMES[data.dtype],
             selector={
                 "decision": workflow,
                 "forced": config.workflow != "auto",
@@ -479,7 +482,7 @@ def _decompress_impl(
         led.record(
             "decompress",
             shape=[int(s) for s in meta["shape"]],
-            dtype=str(np.dtype(meta["dtype"])),
+            dtype=_DTYPE_NAMES[meta["dtype"]],
             workflow=meta["workflow"],
             predictor=meta["predictor"],
             stages=ledger_mod.span_self_times(root),

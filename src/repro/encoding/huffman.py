@@ -20,6 +20,7 @@ archives that share a quant-code distribution build each once.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import threading
 from collections import OrderedDict
@@ -38,7 +39,7 @@ __all__ = [
     "codebook_for",
     "decode_table_for",
     "memo_counts",
-    "MEMO_ENTRIES",
+    "MEMO_BYTES",
 ]
 
 
@@ -383,34 +384,40 @@ def build_decode_table(book: CanonicalCodebook, fast_bits: int | None = None) ->
     )
 
 
-#: Entries each memo keeps; the least recently used is evicted first.  The
-#: widest values the library memoizes are 65,536-symbol run-length books
-#: (about 0.6 MB) and 14-bit decode tables (about 0.67 MB), so the two memos
-#: hold about 41 MB at most.
-MEMO_ENTRIES = 32
+#: Bytes of book or table arrays each memo keeps.  The least recently used
+#: entries are evicted first, and a value larger than the whole budget is
+#: built but not kept, so the two memos hold at most 32 MiB of arrays for
+#: any alphabet (plus a 32-byte key per entry).
+MEMO_BYTES = 16 << 20
 
 _THREAD = threading.local()
 
 
-def _content_key(values: np.ndarray) -> tuple:
-    """An exact key for a count or length vector: its size plus the
-    positions and values of its nonzero entries (compact for the sparse
-    run-length alphabets, and collision-free unlike a digest)."""
+def _content_key(values: np.ndarray) -> bytes:
+    """A fixed-size key for a count or length vector: the SHA-256 of its
+    size and the positions and values of its nonzero entries."""
     nonzero = np.flatnonzero(values)
-    return values.size, nonzero.tobytes(), values[nonzero].tobytes()
+    digest = hashlib.sha256(np.array([values.size, nonzero.size], np.int64).tobytes())
+    digest.update(nonzero.tobytes())
+    digest.update(values[nonzero].tobytes())
+    return digest.digest()
 
 
-def _frozen(value):
-    """``value`` with every array field made read-only: a caller writing
-    into a shared book or table would corrupt every later hit."""
+def _freeze(value) -> int:
+    """Make every array field of ``value`` read-only (a caller writing into
+    a shared book or table would corrupt every later hit); returns the bytes
+    those arrays hold."""
+    nbytes = 0
     for field_value in vars(value).values():
         if isinstance(field_value, np.ndarray):
             field_value.setflags(write=False)
-    return value
+            nbytes += field_value.nbytes
+    return nbytes
 
 
 class _Memo:
-    """A lock-guarded LRU of values built from a content key's input.
+    """A lock-guarded LRU of values built from a content key's input,
+    bounded by :data:`MEMO_BYTES`.
 
     Builds run outside the lock: two threads racing on one fresh key may
     both build, which is harmless -- the builders are deterministic, so the
@@ -420,26 +427,32 @@ class _Memo:
     def __init__(self, build) -> None:
         self._build = build
         self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, nbytes)
+        self.nbytes = 0
 
-    def get(self, key: tuple, arg):
+    def get(self, key: bytes, arg):
         with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
         counts = getattr(_THREAD, "counts", None)
         if counts is None:
             counts = _THREAD.counts = [0, 0]
-        if value is not None:
+        if entry is not None:
             counts[0] += 1
-        else:
-            counts[1] += 1
-            value = _frozen(self._build(arg))
+            return entry[0]
+        counts[1] += 1
+        value = self._build(arg)
+        nbytes = _freeze(value)
+        if nbytes <= MEMO_BYTES:
             with self._lock:
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-                while len(self._entries) > MEMO_ENTRIES:
-                    self._entries.popitem(last=False)
+                replaced = self._entries.pop(key, None)
+                if replaced is not None:
+                    self.nbytes -= replaced[1]
+                self._entries[key] = (value, nbytes)
+                self.nbytes += nbytes
+                while self.nbytes > MEMO_BYTES:
+                    self.nbytes -= self._entries.popitem(last=False)[1][1]
         return value
 
     def __len__(self) -> int:

@@ -33,7 +33,8 @@ worker process has its own codebook and decode-table memo
 (:func:`~repro.encoding.huffman.codebook_for`), whose hit/miss delta over
 the job travels back in the result frame; and ledger writes inside workers
 follow the job config's ``ledger`` path (the ledger format is append-only
-JSONL and tolerant of concurrent writers).
+JSONL and tolerant of concurrent writers) and are flushed at the end of
+each job, since pool workers exit without running exit hooks.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import numpy as np
 from ..core.errors import ConfigError, EngineError
 from ..encoding.huffman import memo_counts
 from ..telemetry.context import enabled as _tel_enabled, scope as _tel_scope
+from ..telemetry.ledger import flush_ledgers
 
 __all__ = [
     "BACKEND_NAMES",
@@ -509,6 +511,9 @@ def _measured(tel_on: bool, body) -> dict:
     hits0, misses0 = memo_counts()
     with _tel_scope(tel_on):
         frame = body()
+    # A pool worker exits without running exit hooks, so the job's ledger
+    # records are written before its result goes back.
+    flush_ledgers()
     hits, misses = memo_counts()
     frame.update(
         wall=time.perf_counter() - wall0,

@@ -5,8 +5,8 @@ The committed thread-pool baselines show ``jobs=4`` no faster than
 module quantifies that ceiling per executor backend so the choice has data
 behind it:
 
-* :func:`run_scaling_sweep` runs an identical batch workload at each
-  requested worker count on a fresh :class:`CompressionEngine` (any
+* :func:`run_scaling_sweep` runs the same batch workload (fresh fields of
+  one shape and family for every run) at each requested worker count on a fresh :class:`CompressionEngine` (any
   backend) and folds the engine's per-worker accounting (``perf_counter``
   wall vs ``time.thread_time`` CPU, semaphore wait, queue-depth high-water)
   into a :class:`ScalingReport`;
@@ -25,6 +25,7 @@ front end.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 _log = get_logger("repro.engine.diagnostics")
+
+#: Seeds for sweep runs, never reused in one process (see run_scaling_sweep).
+_SWEEP_RUNS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -188,13 +192,14 @@ def make_sweep_fields(
 ) -> list[np.ndarray]:
     """Deterministic, mutually distinct smooth fields for the sweep.
 
-    Each field gets its own seed so the codebook memo cannot short-circuit
-    the batch into one build shared by every field.
+    Field ``k`` draws from the seed pair ``(seed, k)``, so fields differ
+    within a batch and across seeds, and the codebook memo cannot
+    short-circuit a batch into one build shared by every field.
     """
     fields = []
     x = np.linspace(0.0, 8.0, shape[-1], dtype=np.float32)
     for k in range(n_fields):
-        rng = np.random.default_rng(seed + k)
+        rng = np.random.default_rng((seed, k))
         base = rng.normal(0.0, 0.05, shape).astype(np.float32)
         base += np.sin(x + k).astype(np.float32)  # broadcast along last axis
         fields.append(base)
@@ -210,13 +215,15 @@ def run_scaling_sweep(
     config: CompressorConfig | None = None,
     backend: str = "thread",
 ) -> ScalingReport:
-    """Run the identical batch at each worker count; best-of-``repeats``.
+    """Run the same batch at each worker count; best-of-``repeats``.
 
     Every point uses a fresh engine (fresh accounting, fresh worker pool --
     process-backend spawn cost is part of what's measured) so the breakdown
-    attributes to that worker count alone.  Process workers start with an
-    empty codebook memo; in-process backends share the caller's, so their
-    repeats after the first reuse its codebooks.  The baseline
+    attributes to that worker count alone.  Every run also compresses fresh
+    fields, drawn from a seed no earlier run in this process used, before
+    its clock starts: process workers start with an empty codebook memo,
+    and in-process backends would otherwise find earlier runs' codebooks in
+    the caller's, so every backend builds every codebook.  The baseline
     for speedup is the first entry of ``jobs_list`` (conventionally 1).
     """
     import time
@@ -224,8 +231,7 @@ def run_scaling_sweep(
     if not jobs_list:
         raise ValueError("jobs_list must name at least one worker count")
     cfg = config or CompressorConfig(eb=eb)
-    fields = make_sweep_fields(n_fields, tuple(shape))
-    field_bytes = int(fields[0].nbytes)
+    field_bytes = int(np.prod(shape)) * np.dtype(np.float32).itemsize
     report = ScalingReport(
         n_fields=n_fields, field_shape=tuple(shape),
         field_bytes=field_bytes, repeats=int(repeats), backend=backend,
@@ -236,6 +242,7 @@ def run_scaling_sweep(
         best_wall = float("inf")
         best_snap: dict = {}
         for _ in range(max(int(repeats), 1)):
+            fields = make_sweep_fields(n_fields, tuple(shape), seed=next(_SWEEP_RUNS))
             with CompressionEngine(cfg, jobs=eng_jobs, backend=backend) as engine:
                 t0 = time.perf_counter()
                 engine.map(fields)
@@ -284,7 +291,8 @@ def compare_backends(
     repeats: int = 3,
     config: CompressorConfig | None = None,
 ) -> dict[str, ScalingReport]:
-    """One :func:`run_scaling_sweep` per backend over the same workload."""
+    """One :func:`run_scaling_sweep` per backend over the same workload
+    (same shapes and field family; every run draws fresh fields)."""
     return {
         backend: run_scaling_sweep(
             jobs_list, n_fields=n_fields, shape=shape, eb=eb,

@@ -56,6 +56,7 @@ from .ledger import (
     RunLedger,
     aggregate_ledger,
     config_fingerprint,
+    flush_ledgers,
     ledger_for,
     read_ledger,
     render_ledger_report,
@@ -96,6 +97,7 @@ __all__ = [
     "LEDGER_SCHEMA",
     "RunLedger",
     "ledger_for",
+    "flush_ledgers",
     "read_ledger",
     "aggregate_ledger",
     "render_ledger_report",

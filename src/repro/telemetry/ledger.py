@@ -21,20 +21,33 @@ version.  Files rotate at ``REPRO_LEDGER_MAX_BYTES`` (default 16 MiB):
 ``ledger.jsonl`` becomes ``ledger.jsonl.1`` and so on up to
 ``REPRO_LEDGER_KEEP`` (default 3) rotated generations.
 
+Records are written in batches, one ``write`` per batch: a record waits
+in memory until ``FLUSH_RECORDS`` are pending, ``FLUSH_SECONDS`` after the
+first pending one (a daemon thread), or an explicit flush -- ``close``,
+:func:`reset_ledgers`, :func:`read_ledger` in the same process, the end of
+each process-backend job, and interpreter exit.  Encoding and writing a
+record right after a compress costs about 0.1 ms of CPU with cold caches,
+a few percent of a small compress; a batch pays that once.  A process that
+is killed loses its pending records (at most ``FLUSH_SECONDS`` worth).
+
 ``repro obs report`` aggregates a ledger into per-stage / per-workflow
 summaries (see :func:`aggregate_ledger`).
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
 import hashlib
 import json
 import os
 import threading
 import time
+import traceback
+import weakref
 from pathlib import Path
 
+from . import instruments as ins
 from .context import Span
 from .context import enabled as _tel_enabled
 from .log import get_logger
@@ -44,6 +57,7 @@ __all__ = [
     "RECORD_REQUIRED_KEYS",
     "RunLedger",
     "ledger_for",
+    "flush_ledgers",
     "reset_ledgers",
     "config_fingerprint",
     "span_self_times",
@@ -62,7 +76,15 @@ RECORD_REQUIRED_KEYS = ("schema", "ts", "op", "pid")
 DEFAULT_MAX_BYTES = 16 << 20
 DEFAULT_KEEP = 3
 
+#: A writer writes its pending records once this many are pending, and the
+#: flusher thread writes them this many seconds after the first one.
+FLUSH_RECORDS = 64
+FLUSH_SECONDS = 1.0
+
 _log = get_logger("repro.telemetry.ledger")
+
+#: One shared encoder; a record holds no reference cycles to guard against.
+_ENCODER = json.JSONEncoder(check_circular=False)
 
 #: Open writers keyed by resolved path, so repeated calls share one handle;
 #: ``_WRITERS_BY_RAW`` is a lock-free fast path keyed on the caller's raw
@@ -70,6 +92,13 @@ _log = get_logger("repro.telemetry.ledger")
 _WRITERS: dict[Path, "RunLedger"] = {}
 _WRITERS_BY_RAW: dict = {}
 _WRITERS_LOCK = threading.Lock()
+
+#: Every live writer (cached or not), for :func:`flush_ledgers`; the
+#: flusher thread sleeps on ``_FLUSH_DUE`` and runs in ``_FLUSHER_PID``.
+_LIVE: "weakref.WeakSet[RunLedger]" = weakref.WeakSet()
+_FLUSH_LOCK = threading.Lock()
+_FLUSH_DUE = threading.Event()
+_FLUSHER_PID: int | None = None
 
 #: CompressorConfig fields that shape the *output* and therefore the
 #: fingerprint; observability knobs (telemetry, ledger) are excluded --
@@ -102,14 +131,24 @@ def span_self_times(root) -> dict[str, float]:
     if not isinstance(root, Span):
         return {}
     out: dict[str, float] = {}
-    for s in root.walk():
-        self_seconds = s.duration - sum(c.duration for c in s.children)
+    stack = [root]
+    while stack:
+        s = stack.pop()
+        self_seconds = s.duration
+        for c in s.children:
+            self_seconds -= c.duration
+        stack.extend(reversed(s.children))
         out[s.name] = out.get(s.name, 0.0) + max(self_seconds, 0.0)
     return out
 
 
 class RunLedger:
-    """Append-only JSONL writer with size-based rotation (thread-safe)."""
+    """Append-only JSONL writer with size-based rotation (thread-safe).
+
+    :meth:`record` queues a record; :meth:`flush` encodes the queue and
+    appends it with one ``write`` (see the module docstring for when that
+    happens on its own).
+    """
 
     def __init__(
         self,
@@ -131,31 +170,61 @@ class RunLedger:
         if self.keep < 1:
             raise ValueError(f"ledger keep must be >= 1, got {self.keep}")
         self._lock = threading.Lock()
+        self._pending: list[dict] = []
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a")
+        self._open()
         self.records_written = 0
+        with _FLUSH_LOCK:
+            _LIVE.add(self)
+
+    def _open(self) -> None:
+        self._fh = open(self.path, "ab", buffering=0)
+        self._size = os.fstat(self._fh.fileno()).st_size
 
     def record(self, op: str, **fields) -> dict:
-        """Append one schema-stamped record; returns the record dict."""
-        rec = {
-            "schema": LEDGER_SCHEMA,
-            "ts": time.time(),
-            "op": op,
-            "pid": os.getpid(),
-        }
-        rec.update(fields)
-        line = json.dumps(rec, sort_keys=False)
+        """Queue one schema-stamped record; returns the record dict."""
+        rec = {"schema": LEDGER_SCHEMA, "ts": time.time(), "op": op,
+               "pid": os.getpid(), **fields}
         with self._lock:
-            if self._fh.tell() + len(line) + 1 > self.max_bytes:
-                self._rotate_locked()
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            self.records_written += 1
+            if self._fh.closed:
+                raise ValueError(f"ledger {self.path} is closed")
+            self._pending.append(rec)
+            pending = len(self._pending)
+            if pending >= FLUSH_RECORDS:
+                self._flush_locked()
+        if pending == 1:
+            _wake_flusher()
         if _tel_enabled():
-            from . import instruments as ins  # lazy: sibling imports back
-
             ins.LEDGER_RECORDS.inc(op=op)
         return rec
+
+    def flush(self) -> None:
+        """Append every queued record to the file."""
+        with self._lock:
+            self._flush_locked()
+
+    def _flush_locked(self) -> None:
+        if not self._pending or self._fh.closed:
+            return
+        records, self._pending = self._pending, []
+        # Other processes may append to the same file (process workers do).
+        self._size = os.fstat(self._fh.fileno()).st_size
+        batch: list[bytes] = []
+        for rec in records:
+            line = (_ENCODER.encode(rec) + "\n").encode()
+            if self._size + len(line) > self.max_bytes:
+                self._write_locked(b"".join(batch))
+                batch = []
+                self._rotate_locked()
+            batch.append(line)
+            self._size += len(line)
+        self._write_locked(b"".join(batch))
+        self.records_written += len(records)
+
+    def _write_locked(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:  # a regular file takes it all unless the disk is full
+            view = view[self._fh.write(view):]
 
     def _rotate_locked(self) -> None:
         """Shift ``path`` -> ``path.1`` -> ... -> ``path.keep`` (dropped)."""
@@ -169,14 +238,21 @@ class RunLedger:
                 src.rename(self.path.with_name(self.path.name + f".{gen + 1}"))
         if self.path.exists():
             self.path.rename(self.path.with_name(self.path.name + ".1"))
-        self._fh = open(self.path, "a")
+        self._open()
         _log.event("ledger.rotate", path=str(self.path), keep=self.keep,
                    max_bytes=self.max_bytes)
 
     def close(self) -> None:
+        """Flush the queue and close the file."""
         with self._lock:
             if not self._fh.closed:
+                self._flush_locked()
                 self._fh.close()
+
+    def __del__(self) -> None:
+        # A writer dropped without ``close`` still writes its queue.
+        if hasattr(self, "_fh"):
+            self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RunLedger({str(self.path)!r}, written={self.records_written})"
@@ -219,6 +295,56 @@ def reset_ledgers() -> None:
         _WRITERS_BY_RAW.clear()
 
 
+def flush_ledgers() -> None:
+    """Write every live writer's queued records."""
+    with _FLUSH_LOCK:
+        writers = list(_LIVE)
+    for writer in writers:
+        writer.flush()
+
+
+def _wake_flusher() -> None:
+    """Start this process's flusher thread if needed, and wake it."""
+    global _FLUSHER_PID
+    if _FLUSHER_PID != os.getpid():
+        with _FLUSH_LOCK:
+            if _FLUSHER_PID != os.getpid():
+                threading.Thread(
+                    target=_flush_loop, name="repro-ledger-flush", daemon=True
+                ).start()
+                _FLUSHER_PID = os.getpid()
+    _FLUSH_DUE.set()
+
+
+def _flush_loop() -> None:
+    # A record queued after ``clear`` re-arms the event, so none waits for
+    # more than one extra period.
+    while True:
+        _FLUSH_DUE.wait()
+        time.sleep(FLUSH_SECONDS)
+        _FLUSH_DUE.clear()
+        try:
+            flush_ledgers()
+        except OSError:  # e.g. a full disk: report it, keep flushing later batches
+            traceback.print_exc()
+
+
+def _after_fork_in_child() -> None:
+    # The parent still writes what it had queued; the child starts with
+    # empty queues, unheld locks and no flusher thread.
+    global _FLUSH_LOCK, _FLUSH_DUE, _FLUSHER_PID
+    _FLUSH_LOCK = threading.Lock()
+    _FLUSH_DUE = threading.Event()
+    _FLUSHER_PID = None
+    for writer in list(_LIVE):
+        writer._lock = threading.Lock()
+        writer._pending = []
+
+
+atexit.register(flush_ledgers)
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 # ---------------------------------------------------------------------------
 # Reading and aggregation (``repro obs report``)
 # ---------------------------------------------------------------------------
@@ -232,6 +358,7 @@ def read_ledger(path: str | Path, include_rotated: bool = True) -> list[dict]:
     ``repro.ledger`` are skipped (counted, not fatal): a ledger directory
     may accumulate foreign lines across versions.
     """
+    flush_ledgers()  # records this process has queued belong in the read
     path = Path(path)
     files: list[Path] = []
     if include_rotated:

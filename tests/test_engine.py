@@ -28,9 +28,10 @@ from repro.core.streaming import (
 )
 from repro.encoding import huffman
 from repro.encoding.huffman import (
-    MEMO_ENTRIES,
+    MEMO_BYTES,
     DecodeTable,
     build_codebook,
+    build_decode_table,
     codebook_for,
     decode_table_for,
     memo_counts,
@@ -248,30 +249,53 @@ class TestEngineCache:
         assert memo_delta(before) == (0, 2)
         np.testing.assert_array_equal(a.lengths, build_codebook(freqs).lengths)
 
-    def test_lru_eviction_bounds_memory(self):
+    def test_lru_eviction_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(huffman, "_BOOKS", huffman._Memo(build_codebook))
         keep, drop = unique_freqs(), unique_freqs()
         codebook_for(keep)
+        one_book = huffman._BOOKS.nbytes
+        # Room for four of these books (each later one is a few bytes larger).
+        monkeypatch.setattr(huffman, "MEMO_BYTES", 4 * one_book + one_book // 2)
         codebook_for(drop)
-        for _ in range(MEMO_ENTRIES - 2):
+        for _ in range(2):
             codebook_for(unique_freqs())
         codebook_for(keep)  # now the most recently used
-        codebook_for(unique_freqs())  # full: evicts the least recently used
-        assert len(huffman._BOOKS) == MEMO_ENTRIES
+        codebook_for(unique_freqs())  # over budget: evicts the least recently used
+        assert len(huffman._BOOKS) == 4
+        assert huffman._BOOKS.nbytes <= huffman.MEMO_BYTES
         before = memo_counts()
         codebook_for(keep)
         assert memo_delta(before) == (1, 0)
         codebook_for(drop)
         assert memo_delta(before) == (1, 1)
 
-    def test_decode_table_eviction_bounds_memory(self):
-        books = [build_codebook(unique_freqs()) for _ in range(MEMO_ENTRIES + 1)]
-        for book in books:
+    def test_decode_table_eviction_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(huffman, "_TABLES", huffman._Memo(build_decode_table))
+        books = [build_codebook(unique_freqs()) for _ in range(3)]
+        decode_table_for(books[0])
+        one_table = huffman._TABLES.nbytes
+        monkeypatch.setattr(huffman, "MEMO_BYTES", 2 * one_table + one_table // 2)
+        for book in books[1:]:
             decode_table_for(book)
-        assert len(huffman._TABLES) == MEMO_ENTRIES
+        assert len(huffman._TABLES) == 2
+        assert huffman._TABLES.nbytes <= huffman.MEMO_BYTES
         before = memo_counts()
         decode_table_for(books[-1])
         decode_table_for(books[0])
         assert memo_delta(before) == (1, 1)
+
+    def test_byte_budget_holds_for_a_large_alphabet(self):
+        # A 2 Mi-symbol alphabet: the book's code array alone is 16 MiB, more
+        # than the whole budget, so it is built but not kept.
+        freqs = np.zeros(1 << 21, dtype=np.int64)
+        freqs[[0, 7, 1 << 20, (1 << 21) - 1]] = (5, 3, 2, 1)
+        before = memo_counts()
+        book = codebook_for(freqs)
+        decode_table_for(book)
+        assert huffman._BOOKS.nbytes <= MEMO_BYTES
+        assert huffman._TABLES.nbytes <= MEMO_BYTES
+        assert codebook_for(freqs) is not book
+        assert memo_delta(before) == (0, 3)
 
     def test_memoized_books_and_tables_are_read_only(self):
         book = codebook_for(unique_freqs())

@@ -1,15 +1,19 @@
 """Tests for the run ledger: opt-in, record schema, rotation, aggregation,
-fingerprint stability, and the <5 % overhead acceptance bound."""
+fingerprint stability, batched writes, and the <5 % overhead acceptance
+bound."""
 
 import json
 import os
 import statistics
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 import repro
+from repro import telemetry as tel
 from repro.core.config import CompressorConfig
 from repro.core.streaming import compress_blocks
 from repro.telemetry import ledger as lm
@@ -283,6 +287,101 @@ class TestSharedWriter:
         assert b is not a
         b.record("compress")
         assert read_ledger(tmp_path / "l.jsonl")
+
+
+class TestBatchedWrites:
+    def test_records_wait_for_a_full_batch(self, tmp_path, monkeypatch):
+        # Keep the flusher thread out of it: only a full batch may write.
+        monkeypatch.setattr(lm, "flush_ledgers", lambda: None)
+        monkeypatch.setattr(lm, "FLUSH_RECORDS", 3)
+        ledger = RunLedger(tmp_path / "l.jsonl")
+        ledger.record("compress", k=0)
+        ledger.record("compress", k=1)
+        assert ledger.records_written == 0
+        assert (tmp_path / "l.jsonl").read_text() == ""
+        ledger.record("compress", k=2)
+        assert ledger.records_written == 3
+        lines = (tmp_path / "l.jsonl").read_text().splitlines()
+        assert [json.loads(line)["k"] for line in lines] == [0, 1, 2]
+        ledger.close()
+
+    def test_the_flusher_writes_a_partial_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lm, "FLUSH_SECONDS", 0.05)
+        path = tmp_path / "l.jsonl"
+        ledger = RunLedger(path)
+        ledger.record("compress", k=0)
+        deadline = time.monotonic() + 10.0
+        while not path.read_text() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert json.loads(path.read_text())["k"] == 0
+        ledger.close()
+
+    def test_an_in_process_read_sees_queued_records(self, tmp_path):
+        cfg = CompressorConfig(eb=1e-3, ledger=str(tmp_path / "l.jsonl"))
+        repro.compress(make_field(0), cfg)
+        repro.compress(make_field(1), cfg)
+        assert [r["op"] for r in read_ledger(tmp_path / "l.jsonl")] == [
+            "compress", "compress"
+        ]
+
+    def test_process_workers_write_their_records_per_job(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        cfg = CompressorConfig(eb=1e-2, eb_mode="abs", ledger=str(path))
+        compress_blocks(make_field(5, shape=(64, 32)), cfg,
+                        max_block_bytes=2048, jobs=2, backend="process")
+        # Read the file itself, not through read_ledger (which flushes this
+        # process's queue): the workers' records must already be there.
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        worker_records = [r for r in lines if r["pid"] != os.getpid()]
+        assert len(worker_records) == 4
+        assert {r["op"] for r in worker_records} == {"compress"}
+
+    def test_concurrent_records_are_written_once_in_order(self, tmp_path, monkeypatch):
+        # Small batches, a fast flusher, rotation and a tiny switch interval
+        # make recorders, the flusher and rotation interleave.
+        monkeypatch.setattr(lm, "FLUSH_RECORDS", 7)
+        monkeypatch.setattr(lm, "FLUSH_SECONDS", 0.001)
+        path = tmp_path / "l.jsonl"
+        ledger = RunLedger(path, max_bytes=4096, keep=100)
+        n_threads, per_thread = 8, 200
+
+        def recorder(t):
+            for k in range(per_thread):
+                ledger.record("compress", t=t, k=k)
+
+        threads = [threading.Thread(target=recorder, args=(t,)) for t in range(n_threads)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        ledger.close()
+        seen = [(r["t"], r["k"]) for r in read_ledger(path)]
+        assert len(seen) == n_threads * per_thread
+        for t in range(n_threads):
+            assert [k for u, k in seen if u == t] == list(range(per_thread))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_leaves_the_parents_queue_alone(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        ledger = RunLedger(path)
+        with tel.scope(False):
+            ledger.record("parent")
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                try:
+                    ledger.record("child")
+                    ledger.flush()
+                finally:
+                    os._exit(0)
+        os.waitpid(pid, 0)
+        ledger.close()
+        assert sorted(r["op"] for r in read_ledger(path)) == ["child", "parent"]
 
 
 class TestOverheadBudget:

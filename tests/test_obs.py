@@ -13,6 +13,7 @@ from repro import telemetry as tel
 from repro.cli import main
 from repro.core.config import CompressorConfig
 from repro.core.streaming import compress_blocks
+from repro.encoding.huffman import memo_counts
 from repro.engine import CompressionEngine
 from repro.engine.diagnostics import (
     ScalingPoint,
@@ -112,6 +113,20 @@ class TestScalingSweep:
         fields = make_sweep_fields(4, (32, 32))
         fingerprints = {f.tobytes() for f in fields}
         assert len(fingerprints) == 4
+        again = make_sweep_fields(4, (32, 32), seed=1)
+        assert not fingerprints & {f.tobytes() for f in again}
+
+    def test_every_run_builds_its_own_codebooks(self):
+        # Process workers start with an empty memo; an in-process backend
+        # must not find an earlier run's codebooks in the caller's either.
+        before = memo_counts()
+        run_scaling_sweep(jobs_list=(1, 2), n_fields=3, shape=(48, 48),
+                          repeats=2, backend="serial")
+        run_scaling_sweep(jobs_list=(1,), n_fields=3, shape=(48, 48),
+                          repeats=1, backend="serial")
+        hits, misses = memo_counts()
+        assert hits == before[0]
+        assert misses - before[1] >= 5 * 3
 
     def test_empty_jobs_list_rejected(self):
         with pytest.raises(ValueError):
