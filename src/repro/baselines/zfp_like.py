@@ -45,12 +45,6 @@ def _haar_inverse(x: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _sl(axis: int, i: int) -> tuple:
-    idx = [slice(None)] * 10
-    idx[axis] = i
-    return tuple(idx[: axis + 1])
-
-
 def _take(x: np.ndarray, axis: int, i: int) -> np.ndarray:
     return np.take(x, i, axis=axis)
 

@@ -132,10 +132,11 @@ class Experiment:
     def _build_record(self, seconds: float, tr) -> dict:
         from .. import telemetry as tel
 
-        spans = list(tr.spans())
         stage_seconds: dict[str, float] = {}
-        for s in spans:
-            stage_seconds[s.name] = stage_seconds.get(s.name, 0.0) + s.duration
+        n_spans = 0
+        for path, stats in tel.fold_spans(tr).items():
+            stage_seconds[path[-1]] = stage_seconds.get(path[-1], 0.0) + stats.wall
+            n_spans += stats.count
         if tel.enabled():
             tel.REGISTRY.gauge("repro_experiment_seconds").set_value(
                 seconds, experiment=self.name
@@ -146,7 +147,7 @@ class Experiment:
             "tags": list(self.tags),
             "seconds": seconds,
             "telemetry_enabled": tel.enabled(),
-            "n_spans": len(spans),
+            "n_spans": n_spans,
             "stage_seconds": stage_seconds,
             "metrics": tel.render_json(),
         }

@@ -3,8 +3,8 @@
 Two views over the same telemetry trace:
 
 * **hotspots** -- per span name: call count, inclusive wall time, *self*
-  time (inclusive minus children -- where the time actually goes), bytes
-  moved and the derived GB/s, sorted by self time;
+  time (wall minus the union of the children's intervals -- where the time
+  actually goes), bytes moved and the derived GB/s, sorted by self time;
 * **folded stacks** -- ``root;child;leaf <self-microseconds>`` lines, the
   input format of flamegraph.pl / speedscope / Perfetto's "import folded".
 
@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import telemetry as tel
+from ..core.compressor import compress, decompress_with_stats
+from ..core.config import CompressorConfig
 from .harness import format_table
+from .scenarios import get_scenario
 
 __all__ = [
     "HotSpot",
@@ -81,35 +84,27 @@ class ProfileView:
 
 
 def fold_trace(trace) -> ProfileView:
-    """Aggregate a :class:`~repro.telemetry.context.Trace` (or span list)."""
-    roots = trace.roots if hasattr(trace, "roots") else list(trace)
+    """Aggregate a :class:`~repro.telemetry.context.Trace` (or span list).
+
+    A projection of :func:`repro.telemetry.fold_spans`: a name's total is
+    the sum of its paths' walls, its self time the sum of their self times.
+    """
+    folded = tel.fold_spans(trace)
     spots: dict[str, HotSpot] = {}
-    folded: dict[str, float] = {}
     total = 0.0
-
-    def visit(span, path: str) -> None:
-        nonlocal total
-        here = f"{path};{span.name}" if path else span.name
-        child_time = sum(c.duration for c in span.children)
-        self_s = max(span.duration - child_time, 0.0)
-        spot = spots.setdefault(span.name, HotSpot(span.name))
-        spot.count += 1
-        spot.total_seconds += span.duration
-        spot.self_seconds += self_s
-        spot.bytes_moved += max(span.bytes_in, span.bytes_out)
-        folded[here] = folded.get(here, 0.0) + self_s * 1e6
-        for child in span.children:
-            visit(child, here)
-
-    for root in roots:
-        total += root.duration
-        visit(root, "")
-    view = ProfileView(
+    for path, stats in folded.items():
+        spot = spots.setdefault(path[-1], HotSpot(path[-1]))
+        spot.count += stats.count
+        spot.total_seconds += stats.wall
+        spot.self_seconds += stats.self
+        spot.bytes_moved += stats.bytes
+        if len(path) == 1:
+            total += stats.wall
+    return ProfileView(
         hotspots=sorted(spots.values(), key=lambda h: -h.self_seconds),
-        folded=folded,
+        folded={";".join(path): stats.self * 1e6 for path, stats in folded.items()},
         total_seconds=total,
     )
-    return view
 
 
 def kernel_table() -> str:
@@ -152,8 +147,6 @@ def kernel_table() -> str:
 
 def profile_scenario(scenario_name: str = "smoke", repeats: int = 1) -> tuple[ProfileView, str]:
     """Run a scenario once under a trace; returns (view, kernel table)."""
-    from .scenarios import get_scenario
-
     scenario = get_scenario(scenario_name)
     tel.reset_metrics()
     with tel.scope(True), tel.trace(f"profile {scenario.name}") as tr:
@@ -161,9 +154,6 @@ def profile_scenario(scenario_name: str = "smoke", repeats: int = 1) -> tuple[Pr
             scenario.extra()
         for case in scenario.cases:
             data = case.make_field()
-            from ..core.compressor import compress, decompress_with_stats
-            from ..core.config import CompressorConfig
-
             config = CompressorConfig(eb=case.eb, eb_mode=case.eb_mode,
                                       workflow=case.workflow)
             for _ in range(max(int(repeats), 1)):

@@ -2,9 +2,9 @@
 
 For every :class:`~repro.bench.scenarios.BenchCase` the runner repeats a
 full compress → decompress round trip ``k`` times under a telemetry trace,
-aggregates per-stage wall times from the span tree, measures quality
-(compression ratio / PSNR / max error) once (the pipeline is
-deterministic), and snapshots the metrics registry.  The result is a
+folds the span tree into per-stage walls (:func:`repro.telemetry.fold_spans`),
+measures quality (compression ratio / PSNR / max error) once (the pipeline
+is deterministic), and snapshots the metrics registry.  The result is a
 validated ``repro.bench/v1`` record (see :mod:`repro.bench.record`).
 """
 
@@ -14,102 +14,48 @@ from .. import telemetry as tel
 from ..analysis.metrics import evaluate_quality
 from ..core.compressor import compress, decompress_with_stats
 from ..core.config import CompressorConfig
+from ..core.streaming import compress_blocks
+from ..engine.backends import get_executor
 from .record import build_record, summarize
 from .scenarios import BenchCase, Scenario, get_scenario
 
 __all__ = ["run_case", "run_scenario"]
 
 
-def _stage_samples(tr, op: str) -> dict[str, float]:
-    """``<op>.<stage>`` + ``<op>_total`` wall seconds from one trace."""
+def _stage_samples(folded, op: str, blocked: bool) -> dict[str, float]:
+    """``<op>_total`` and ``<op>.<stage>`` wall seconds from one fold.
+
+    A block case's root is ``<op>_blocks``; each stage is folded over the
+    per-block ``<op>`` spans beneath it, so block and single-field cases
+    share one key scheme.  Process workers ship no spans, so their block
+    cases carry the totals only.
+    """
+    root = (f"{op}_blocks",) if blocked else (op,)
+    parent = root + (op,) if blocked else root
     out: dict[str, float] = {}
-    for root in tr.roots:
-        if root.name != op:
-            continue
-        out[f"{op}_total"] = root.duration
-        for child in root.children:
-            out[f"{op}.{child.name}"] = out.get(f"{op}.{child.name}", 0.0) + child.duration
+    for path, stats in folded.items():
+        if path == root:
+            out[f"{op}_total"] = stats.wall
+        elif path[:-1] == parent:
+            out[f"{op}.{path[-1]}"] = stats.wall
     return out
 
 
 def run_case(case: BenchCase, repeats: int) -> dict:
-    """Run one case ``repeats`` times; returns the per-case result dict."""
-    if case.block_bytes is not None or case.jobs is not None:
-        return _run_block_case(case, repeats)
-    field = case.make_field()
-    config = CompressorConfig(
-        eb=case.eb, eb_mode=case.eb_mode, workflow=case.workflow,
-    )
-    samples: dict[str, list[float]] = {}
-    result = restored = None
-    for _ in range(max(int(repeats), 1)):
-        with tel.scope(True), tel.trace(case.name) as tr:
-            result = compress(field, config)
-            restored = decompress_with_stats(result.archive)
-        for stage, seconds in {
-            **_stage_samples(tr, "compress"),
-            **_stage_samples(tr, "decompress"),
-        }.items():
-            samples.setdefault(stage, []).append(seconds)
-    quality = evaluate_quality(field, restored.data, result.eb_abs)
-    timing = {stage: summarize(vals) for stage, vals in sorted(samples.items())}
-    best_compress = timing.get("compress_total", {}).get("min", 0.0)
-    best_decompress = timing.get("decompress_total", {}).get("min", 0.0)
-    return {
-        "case": case.name,
-        "dataset": case.dataset,
-        "field": case.field_name,
-        "eb": case.eb,
-        "workflow": case.workflow,
-        "repeats": int(repeats),
-        "timing": timing,
-        "quality": {
-            "compression_ratio": result.compression_ratio,
-            "psnr_db": quality.psnr_db,
-            "max_error": quality.max_error,
-            "nrmse": quality.nrmse,
-            "bound_satisfied": bool(quality.bound_satisfied),
-        },
-        "sizes": {
-            "original_bytes": result.original_bytes,
-            "compressed_bytes": result.compressed_bytes,
-            "section_sizes": result.section_sizes,
-        },
-        "throughput": {
-            "compress_gbps": (
-                result.original_bytes / best_compress / 1e9 if best_compress else 0.0
-            ),
-            "decompress_gbps": (
-                result.original_bytes / best_decompress / 1e9 if best_decompress else 0.0
-            ),
-        },
-        "selector": dict(result.selector_audit) if result.selector_audit else {},
-        "workflow_selected": result.workflow,
-    }
+    """Run one case ``repeats`` times; returns the per-case result dict.
 
-
-def _run_block_case(case: BenchCase, repeats: int) -> dict:
-    """Multi-block engine path: time ``compress_blocks`` round trips.
-
-    The trace roots are ``compress_blocks``/``decompress_blocks``; their
-    totals are reported under the standard ``compress_total`` /
-    ``decompress_total`` keys so regression comparison and throughput math
-    work unchanged across serial and block cases, and mirrored as
-    ``blocks.compress``/``blocks.decompress`` stages so scaling gates can
-    target the block path by name.  A ``case.backend`` builds a fresh
-    engine per repeat (pool spawn is part of the honest cost) and both the
-    compress and decompress legs run through it.
+    ``block_bytes``/``jobs`` cases run ``compress_blocks``; a
+    ``case.backend`` builds a fresh engine per repeat (pool spawn is part
+    of the honest cost) and both legs run through it.
     """
-    from ..core.streaming import compress_blocks, decompress_blocks_with_stats
-    from ..engine.backends import get_executor
-
+    blocked = case.block_bytes is not None or case.jobs is not None
+    block_bytes = case.block_bytes or (64 << 20)
     field = case.make_field()
     config = CompressorConfig(
         eb=case.eb, eb_mode=case.eb_mode, workflow=case.workflow,
     )
-    block_bytes = case.block_bytes or (64 << 20)
     samples: dict[str, list[float]] = {}
-    blob = restored = None
+    blob = result = restored = None
     engine_snap: dict | None = None
     for _ in range(max(int(repeats), 1)):
         eng = (
@@ -118,38 +64,32 @@ def _run_block_case(case: BenchCase, repeats: int) -> dict:
         )
         try:
             with tel.scope(True), tel.trace(case.name) as tr:
-                blob = compress_blocks(
-                    field, config, max_block_bytes=block_bytes,
-                    jobs=case.jobs, backend=eng,
-                )
-                restored = decompress_blocks_with_stats(blob, backend=eng)
+                if blocked:
+                    blob = compress_blocks(
+                        field, config, max_block_bytes=block_bytes,
+                        jobs=case.jobs, backend=eng,
+                    )
+                else:
+                    result = compress(field, config)
+                    blob = result.archive
+                restored = decompress_with_stats(blob, backend=eng)
             if eng is not None:
                 engine_snap = eng.diagnostics_snapshot()
         finally:
             if eng is not None:
                 eng.shutdown(wait=True)
-        raw = {
-            **_stage_samples(tr, "compress_blocks"),
-            **_stage_samples(tr, "decompress_blocks"),
-        }
-        for stage, seconds in raw.items():
-            key = {
-                "compress_blocks_total": "compress_total",
-                "decompress_blocks_total": "decompress_total",
-            }.get(stage, stage)
-            samples.setdefault(key, []).append(seconds)
-            alias = {
-                "compress_blocks_total": "blocks.compress",
-                "decompress_blocks_total": "blocks.decompress",
-            }.get(stage)
-            if alias:
-                samples.setdefault(alias, []).append(seconds)
+        folded = tel.fold_spans(tr)
+        for stage, seconds in {
+            **_stage_samples(folded, "compress", blocked),
+            **_stage_samples(folded, "decompress", blocked),
+        }.items():
+            samples.setdefault(stage, []).append(seconds)
     quality = evaluate_quality(field, restored.data, restored.eb_abs)
     timing = {stage: summarize(vals) for stage, vals in sorted(samples.items())}
     best_compress = timing.get("compress_total", {}).get("min", 0.0)
     best_decompress = timing.get("decompress_total", {}).get("min", 0.0)
     original_bytes = int(field.nbytes)
-    return {
+    out = {
         "case": case.name,
         "dataset": case.dataset,
         "field": case.field_name,
@@ -177,17 +117,19 @@ def _run_block_case(case: BenchCase, repeats: int) -> dict:
                 original_bytes / best_decompress / 1e9 if best_decompress else 0.0
             ),
         },
-        "selector": {},
+        "selector": dict(result.selector_audit) if result and result.selector_audit else {},
         "workflow_selected": restored.workflow,
-        "engine": {
+    }
+    if blocked:
+        out["engine"] = {
             "jobs": case.jobs or 1,
             "block_bytes": block_bytes,
             "backend": (
                 engine_snap["backend"] if engine_snap is not None
                 else (case.backend or "thread")
             ),
-        },
-    }
+        }
+    return out
 
 
 def run_scenario(

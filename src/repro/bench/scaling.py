@@ -9,19 +9,23 @@ module turns those per-case results into:
   record's ``config`` block so the curve ships inside ``BENCH_scaling.json``
   itself;
 * :func:`check_scaling_gate` -- the CI gate: the process backend at
-  ``jobs=4`` must beat its own ``jobs=1`` by ``min_speedup`` on the block
-  compress stage.  On hosts with fewer than ``min_cores`` cores the gate
-  *skips with a notice* instead of failing -- a 1-core runner cannot
-  demonstrate parallel speedup, and a fabricated pass would be worse than
-  an honest skip.
+  ``jobs=4`` must beat its own ``jobs=1`` by 1.5x on ``compress_total``.
+  On hosts with fewer than 4 cores the gate *skips with a notice* instead
+  of failing -- a 1-core runner cannot demonstrate parallel speedup, and a
+  fabricated pass would be worse than an honest skip.
 """
 
 from __future__ import annotations
 
-__all__ = ["GATE_STAGE", "check_scaling_gate", "scaling_summary"]
+__all__ = ["check_scaling_gate", "scaling_summary"]
 
-#: Timing-stage key the scaling gate reads (see ``_run_block_case``).
-GATE_STAGE = "blocks.compress"
+#: The gate: the ``_BACKEND`` curve at ``_JOBS`` must reach ``_MIN_SPEEDUP``
+#: over its own ``jobs=1`` on ``_STAGE``, on hosts of ``_MIN_CORES`` or more.
+_STAGE = "compress_total"
+_BACKEND = "process"
+_JOBS = 4
+_MIN_SPEEDUP = 1.5
+_MIN_CORES = 4
 
 
 def _case_key(result: dict) -> tuple[str, int]:
@@ -33,14 +37,13 @@ def _case_key(result: dict) -> tuple[str, int]:
     )
 
 
-def _stage_min(result: dict, stage: str) -> float | None:
-    summary = result.get("timing", {}).get(stage)
-    if not summary:
-        return None
-    return float(summary.get("min", 0.0))
+def _wall(result: dict) -> float | None:
+    """Best-of-repeats ``_STAGE`` seconds of one case, or None."""
+    summary = result.get("timing", {}).get(_STAGE)
+    return float(summary.get("min", 0.0)) if summary else None
 
 
-def scaling_summary(results: list, stage: str = GATE_STAGE) -> dict:
+def scaling_summary(results: list) -> dict:
     """Per-backend speedup curves from the scaling scenario's case results.
 
     For each backend present, the curve reports best-of-repeats wall time
@@ -52,9 +55,7 @@ def scaling_summary(results: list, stage: str = GATE_STAGE) -> dict:
     curves: dict[str, list[dict]] = {}
     for result in results:
         backend, jobs = _case_key(result)
-        wall = _stage_min(result, stage)
-        if wall is None:
-            wall = _stage_min(result, "compress_total")
+        wall = _wall(result)
         if wall is None:
             continue
         curves.setdefault(backend, []).append({
@@ -77,7 +78,7 @@ def scaling_summary(results: list, stage: str = GATE_STAGE) -> dict:
         if fastest is None or best_wall < fastest[0]:
             fastest = (best_wall, backend)
         summary[backend] = {
-            "stage": stage,
+            "stage": _STAGE,
             "points": points,
             "max_speedup": max(p["speedup"] for p in points),
         }
@@ -87,56 +88,50 @@ def scaling_summary(results: list, stage: str = GATE_STAGE) -> dict:
     }
 
 
-def check_scaling_gate(
-    record: dict,
-    min_speedup: float = 1.5,
-    min_cores: int = 4,
-    stage: str = GATE_STAGE,
-    backend: str = "process",
-    jobs: int = 4,
-) -> tuple[str, str]:
+def check_scaling_gate(record: dict) -> tuple[str, str]:
     """Judge a scaling record against the CI speedup gate.
 
     Returns ``(status, message)`` with status one of:
 
-    * ``"pass"``  -- ``backend`` at ``jobs`` reached ``min_speedup``x over
-      its own ``jobs=1`` case on ``stage``;
+    * ``"pass"``  -- the process backend at ``jobs=4`` reached 1.5x over
+      its own ``jobs=1`` case on ``compress_total``;
     * ``"fail"``  -- the curve exists but falls short;
-    * ``"skip"``  -- the host cannot demonstrate the speedup (fewer than
-      ``min_cores`` cores recorded in the environment fingerprint) or the
-      record lacks the needed cases.  CI treats skip as success-with-notice.
+    * ``"skip"``  -- the host cannot demonstrate the speedup (fewer than 4
+      cores recorded in the environment fingerprint) or the record lacks
+      the needed cases.  CI treats skip as success-with-notice.
     """
     cores = int(record.get("environment", {}).get("cpu_count") or 0)
-    if cores and cores < min_cores:
+    if cores and cores < _MIN_CORES:
         return (
             "skip",
             f"scaling gate skipped: host has {cores} core(s), "
-            f"need >= {min_cores} to demonstrate a {min_speedup:.2f}x "
+            f"need >= {_MIN_CORES} to demonstrate a {_MIN_SPEEDUP:.2f}x "
             f"speedup honestly",
         )
     walls: dict[int, float] = {}
     for result in record.get("results", []):
         b, j = _case_key(result)
-        if b != backend:
+        if b != _BACKEND:
             continue
-        wall = _stage_min(result, stage) or _stage_min(result, "compress_total")
+        wall = _wall(result)
         if wall is not None:
             walls[j] = wall
-    if 1 not in walls or jobs not in walls:
+    if 1 not in walls or _JOBS not in walls:
         have = sorted(walls) or ["none"]
         return (
             "skip",
-            f"scaling gate skipped: record lacks {backend} jobs=1/jobs={jobs} "
-            f"cases for stage {stage!r} (have jobs={have})",
+            f"scaling gate skipped: record lacks {_BACKEND} "
+            f"jobs=1/jobs={_JOBS} cases for stage {_STAGE!r} "
+            f"(have jobs={have})",
         )
-    if walls[jobs] <= 0.0:
-        return "skip", f"scaling gate skipped: zero wall time at jobs={jobs}"
-    speedup = walls[1] / walls[jobs]
+    if walls[_JOBS] <= 0.0:
+        return "skip", f"scaling gate skipped: zero wall time at jobs={_JOBS}"
+    speedup = walls[1] / walls[_JOBS]
     detail = (
-        f"{backend} backend {stage}: jobs={jobs} {walls[jobs] * 1e3:.1f} ms "
-        f"vs jobs=1 {walls[1] * 1e3:.1f} ms -> {speedup:.2f}x "
-        f"(gate {min_speedup:.2f}x)"
+        f"{_BACKEND} backend {_STAGE}: jobs={_JOBS} "
+        f"{walls[_JOBS] * 1e3:.1f} ms vs jobs=1 {walls[1] * 1e3:.1f} ms "
+        f"-> {speedup:.2f}x (gate {_MIN_SPEEDUP:.2f}x)"
     )
-    if speedup >= min_speedup:
+    if speedup >= _MIN_SPEEDUP:
         return "pass", detail
     return "fail", detail

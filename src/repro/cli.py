@@ -181,22 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     pbg = bench_sub.add_parser(
         "scaling-gate",
         help="judge a scaling-scenario record against the parallel-speedup "
-             "gate (process jobs=4 vs jobs=1 on the block compress stage); "
+             "gate (process jobs=4 vs jobs=1 on compress_total, 1.5x); "
              "skips with a notice on hosts with too few cores",
     )
     pbg.add_argument("record", type=Path, help="BENCH_scaling.json record")
-    pbg.add_argument("--min-speedup", type=float, default=1.5,
-                     help="required speedup of jobs=4 over jobs=1 (default 1.5)")
-    pbg.add_argument("--min-cores", type=int, default=4,
-                     help="cores below which the gate skips with a notice "
-                          "(default 4)")
-    pbg.add_argument("--stage", default="blocks.compress",
-                     help="timing stage to gate (default blocks.compress)")
-    pbg.add_argument("--backend", default="process",
-                     choices=["serial", "thread", "process"],
-                     help="backend whose curve is gated (default process)")
-    pbg.add_argument("--gate-jobs", type=int, default=4,
-                     help="job count compared against jobs=1 (default 4)")
     pbg.add_argument("--json", action="store_true", dest="as_json")
 
     pp = sub.add_parser(
@@ -738,10 +726,7 @@ def _cmd_bench_scaling_gate(args) -> int:
     from .bench.scaling import check_scaling_gate
 
     record = load_record(args.record)
-    status, message = check_scaling_gate(
-        record, min_speedup=args.min_speedup, min_cores=args.min_cores,
-        stage=args.stage, backend=args.backend, jobs=args.gate_jobs,
-    )
+    status, message = check_scaling_gate(record)
     if args.as_json:
         print(json.dumps({
             "command": "bench scaling-gate",

@@ -228,7 +228,8 @@ def _compress_impl(data: np.ndarray, config: CompressorConfig) -> CompressionRes
             sp.set(bytes_out=len(blob))
         root.set(bytes_out=len(blob), workflow=workflow)
 
-    stage_stats.update(ins.stage_stats_from_span(root))
+    folded = tel.fold_spans(root)
+    stage_stats.update(ins.stage_stats_from_span(folded))
     audit = _selector_audit(
         diag, workflow, stage_stats, builder.section_sizes(),
         n=int(np.prod(bundle.shape)), forced=config.workflow != "auto",
@@ -255,7 +256,7 @@ def _compress_impl(data: np.ndarray, config: CompressorConfig) -> CompressionRes
         if bundle.n_outliers:
             ins.OUTLIERS.inc(bundle.n_outliers)
         ins.LAST_RATIO.set_value(result.compression_ratio)
-        ins.record_stage_metrics(root, op="compress")
+        ins.record_stage_metrics(folded, op="compress")
     if led is not None:
         hits, misses = memo_counts()
         led.record(
@@ -275,7 +276,7 @@ def _compress_impl(data: np.ndarray, config: CompressorConfig) -> CompressionRes
                 "forced": config.workflow != "auto",
                 "mispredict": audit.get("mispredict"),
             },
-            stages=ledger_mod.span_self_times(root),
+            stages=ledger_mod.span_self_times(folded),
             sizes={
                 "original_bytes": result.original_bytes,
                 "compressed_bytes": result.compressed_bytes,
@@ -474,9 +475,10 @@ def _decompress_impl(
                 out.reshape(-1)[mask] = np.nan
         root.set(bytes_out=int(out.nbytes), workflow=meta["workflow"])
 
+    folded = tel.fold_spans(root)
     if tel.enabled():
         ins.DECOMPRESS_CALLS.inc()
-        ins.record_stage_metrics(root, op="decompress")
+        ins.record_stage_metrics(folded, op="decompress")
     led = ledger_mod.ledger_for(None)
     if led is not None:
         led.record(
@@ -485,7 +487,7 @@ def _decompress_impl(
             dtype=_DTYPE_NAMES[meta["dtype"]],
             workflow=meta["workflow"],
             predictor=meta["predictor"],
-            stages=ledger_mod.span_self_times(root),
+            stages=ledger_mod.span_self_times(folded),
             sizes={
                 "compressed_bytes": len(blob),
                 "original_bytes": int(out.nbytes),
@@ -500,7 +502,7 @@ def _decompress_impl(
         eb_abs=meta["eb_abs"],
         n_outliers=meta["n_outliers"],
         section_sizes=reader.section_sizes(),
-        stage_stats=ins.stage_stats_from_span(root),
+        stage_stats=ins.stage_stats_from_span(folded),
     )
 
 

@@ -96,10 +96,9 @@ def _compress_pwrel(
                 sp.set(bytes_out=len(blob))
             root.set(bytes_out=len(blob))
 
-    # Copy the inner stats (not a shared reference) and overlay this
-    # container's own span-derived stages (pwrel_transform_seconds, ...).
-    stage_stats = dict(inner.stage_stats)
-    stage_stats.update(ins.stage_stats_from_span(root))
+    # The inner stats, overlaid with this container's own stages
+    # (pwrel_transform_seconds, ...).
+    stage_stats = {**inner.stage_stats, **ins.stage_stats_from_span(root)}
     return CompressionResult(
         archive=blob,
         workflow=inner.workflow,
@@ -149,8 +148,7 @@ def decompress_pwrel_with_stats(blob: bytes, engine=None) -> DecompressionResult
             sp.set(bytes_out=int(out.nbytes))
         root.set(bytes_out=int(out.nbytes))
 
-    stage_stats = dict(inner.stage_stats)
-    stage_stats.update(ins.stage_stats_from_span(root))
+    stage_stats = {**inner.stage_stats, **ins.stage_stats_from_span(root)}
     return DecompressionResult(
         data=out,
         workflow=inner.workflow,

@@ -6,7 +6,7 @@ shape; the materialized arrays are scaled down to laptop size (MBs), while
 timings.  Field generators are parametrized so their quant-code statistics
 land in the paper's compressibility regimes -- for the CESM fields of
 Table IV, the plume density is derived from each field's published RLE
-compression ratio via the empirically measured density->ratio map (see
+compression ratio via the empirically measured coverage->ratio map (see
 ``_plume_params``); the correspondence is regime-level, not cell-exact
 (EXPERIMENTS.md discusses fidelity per table).
 """
@@ -118,16 +118,15 @@ TABLE4_CESM_TARGETS: dict[str, tuple[float, float, float, float]] = {
 }
 
 
-def _plume_params(target_rle_cr: float) -> tuple[int, float]:
-    """Invert the measured plume-coverage -> RLE-CR map.
+def _plume_params(coverage: float) -> tuple[int, float]:
+    """Split a plume coverage into ``(n, scale)`` for ``plume_field``.
 
     Sweeping ``plume_field`` on the scaled CESM grid shows the RLE ratio
     tracks the total plume *coverage* ``n * scale^2`` as
-    ``CR ~= 4050 * coverage^-0.737``; solve for the coverage and split it
-    into at least two plumes (a single plume leaves whole-row runs that
-    overshoot the target badly).
+    ``CR ~= 4050 * coverage^-0.737`` (invert it for a target ratio); the
+    coverage is split into at least two plumes (a single plume leaves
+    whole-row runs that overshoot the target badly).
     """
-    coverage = (4050.0 / target_rle_cr) ** (1.0 / 0.737)
     n = max(2, int(round(coverage / 400.0)))
     scale = float(np.clip(np.sqrt(coverage / n), 4.0, 26.0))
     return n, scale
@@ -203,9 +202,7 @@ EXTRA_CESM_FIELDS: dict[str, tuple[str, float]] = {
 def _extra_cesm_maker(archetype: str, knob: float):
     def make(shape, rng):
         if archetype == "plume":
-            coverage = (4050.0 / knob) ** (1.0 / 0.737)
-            n = max(2, int(round(coverage / 400.0)))
-            scale = float(np.clip(np.sqrt(coverage / n), 4.0, 26.0))
+            n, scale = _plume_params((4050.0 / knob) ** (1.0 / 0.737))
             f = syn.plume_field(shape, n, scale, rng)
         elif archetype == "smooth":
             f = syn.smooth_field(shape, feature_scale=knob, rng=rng)
@@ -226,8 +223,7 @@ def _cesm_maker(field_name: str):
         coverage = (4050.0 / target) ** (1.0 / 0.737)
         f = None
         for attempt in range(4):
-            n = max(2, int(round(coverage / 400.0)))
-            scale = float(np.clip(np.sqrt(coverage / n), 4.0, 26.0))
+            n, scale = _plume_params(coverage)
             f = syn.plume_field(shape, n, scale, np.random.default_rng(rng.integers(2**31)))
             measured = _measured_rle_cr(f)
             ratio = measured / target

@@ -11,8 +11,9 @@ One instrumentation layer every pipeline stage reports through:
 
 Tracing (:mod:`.context`) provides nested :class:`Span` context managers
 with byte counters and contextvar propagation (parallel workers nest
-correctly).  Metrics (:mod:`.metrics`) is a process-global registry with
-Prometheus-text and JSON exposition.  Export (:mod:`.export`) renders
+correctly); :func:`fold_spans` (:mod:`.fold`) turns a span tree into the
+stage times every reader reports.  Metrics (:mod:`.metrics`) is a
+process-global registry with Prometheus-text and JSON exposition.  Export (:mod:`.export`) renders
 traces as Chrome trace-event JSON or indented text.  The whole layer
 switches off via ``REPRO_TELEMETRY=0`` (or :func:`set_enabled`), leaving
 only no-op spans behind; see ``docs/observability.md``.
@@ -36,6 +37,7 @@ from .context import (
     trace,
 )
 from .export import render_tree, to_chrome_trace, write_chrome_trace
+from .fold import fold_spans
 from .metrics import (
     DEFAULT_BUCKETS,
     REGISTRY,
@@ -75,6 +77,7 @@ __all__ = [
     "enabled",
     "set_enabled",
     "scope",
+    "fold_spans",
     # export
     "to_chrome_trace",
     "write_chrome_trace",

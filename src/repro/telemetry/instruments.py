@@ -55,7 +55,8 @@ without double registration.
 
 from __future__ import annotations
 
-from .context import Span, enabled
+from .context import enabled
+from .fold import fold_spans
 from .metrics import REGISTRY
 
 __all__ = [
@@ -166,17 +167,18 @@ SERVER_INFLIGHT = REGISTRY.gauge(
     "repro_server_inflight", "Front-door requests currently being served")
 
 
-def stage_stats_from_span(root: Span | None) -> dict[str, float]:
+def stage_stats_from_span(root) -> dict[str, float]:
     """Flatten a closed pipeline root span into ``stage_stats`` timing keys.
 
-    Each direct child becomes ``<name>_seconds``; the root itself becomes
-    ``total_seconds``.  Returns ``{}`` for no-op spans (telemetry disabled),
-    keeping the result dict free of bogus zeros.
+    ``root`` may also be its :func:`~.fold.fold_spans` result.  Each child
+    stage becomes ``<name>_seconds``, its folded wall; the root itself
+    becomes ``total_seconds``.  Returns ``{}`` for no-op spans (telemetry
+    disabled), keeping the result dict free of bogus zeros.
     """
-    if not isinstance(root, Span):
-        return {}
-    stats = {f"{child.name}_seconds": child.duration for child in root.children}
-    stats["total_seconds"] = root.duration
+    folded = fold_spans(root)
+    stats = {f"{p[1]}_seconds": st.wall for p, st in folded.items() if len(p) == 2}
+    if folded:
+        stats["total_seconds"] = next(iter(folded.values())).wall
     return stats
 
 
@@ -200,10 +202,9 @@ def record_kernel_profile(profile) -> None:
         KERNEL_BYTES.inc(profile.bytes_written, kernel=profile.name, direction="written")
 
 
-def record_stage_metrics(root: Span | None, op: str) -> None:
-    """Feed a closed root span's stage timings into ``repro_stage_seconds``."""
-    if not isinstance(root, Span) or not enabled():
+def record_stage_metrics(root, op: str) -> None:
+    """Feed a root span's (or fold's) stage walls into ``repro_stage_seconds``."""
+    if not enabled():
         return
-    for child in root.children:
-        STAGE_SECONDS.observe(child.duration, op=op, stage=child.name)
-    STAGE_SECONDS.observe(root.duration, op=op, stage="total")
+    for key, seconds in stage_stats_from_span(root).items():
+        STAGE_SECONDS.observe(seconds, op=op, stage=key[: -len("_seconds")])

@@ -48,8 +48,8 @@ import weakref
 from pathlib import Path
 
 from . import instruments as ins
-from .context import Span
 from .context import enabled as _tel_enabled
+from .fold import fold_spans
 from .log import get_logger
 
 __all__ = [
@@ -122,23 +122,15 @@ def config_fingerprint(config) -> str:
 
 
 def span_self_times(root) -> dict[str, float]:
-    """Per-stage *self* seconds (inclusive minus children) from a span tree.
+    """Per-stage *self* seconds (:mod:`.fold`) from a span tree or its fold.
 
     Aggregates over the whole tree by span name, so repeated stages (e.g.
-    per-chunk ``huffman.encode`` spans) sum into one key.  Returns ``{}``
-    for no-op spans (telemetry disabled).
+    per-block ``compress`` spans) sum into one key.  Returns ``{}`` for
+    no-op spans (telemetry disabled).
     """
-    if not isinstance(root, Span):
-        return {}
     out: dict[str, float] = {}
-    stack = [root]
-    while stack:
-        s = stack.pop()
-        self_seconds = s.duration
-        for c in s.children:
-            self_seconds -= c.duration
-        stack.extend(reversed(s.children))
-        out[s.name] = out.get(s.name, 0.0) + max(self_seconds, 0.0)
+    for path, stats in fold_spans(root).items():
+        out[path[-1]] = out.get(path[-1], 0.0) + stats.self
     return out
 
 

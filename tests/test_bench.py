@@ -369,7 +369,7 @@ def scaling_record(
             "case": f"blocks_{backend}_j{jobs}", "dataset": "CESM",
             "field": "PS", "eb": 1e-3, "workflow": "auto", "repeats": 3,
             "timing": {
-                "blocks.compress": {"mean": wall * 1.1, "min": wall,
+                "compress_total": {"mean": wall * 1.1, "min": wall,
                                     "max": wall * 1.2, "stdev": 0.0, "n": 3},
             },
             "quality": {"compression_ratio": 20.0, "psnr_db": 66.0,
@@ -409,7 +409,7 @@ class TestScalingSummaryAndGate:
         record = scaling_record({1: 0.4, 4: 0.2})
         from repro.bench.scaling import check_scaling_gate
 
-        status, message = check_scaling_gate(record, min_speedup=1.5)
+        status, message = check_scaling_gate(record)
         assert status == "pass"
         assert "2.00x" in message
 
@@ -417,7 +417,7 @@ class TestScalingSummaryAndGate:
         from repro.bench.scaling import check_scaling_gate
 
         record = scaling_record({1: 0.4, 4: 0.35})
-        status, message = check_scaling_gate(record, min_speedup=1.5)
+        status, message = check_scaling_gate(record)
         assert status == "fail"
         assert "gate 1.50x" in message
 
@@ -425,7 +425,7 @@ class TestScalingSummaryAndGate:
         from repro.bench.scaling import check_scaling_gate
 
         record = scaling_record({1: 0.4, 4: 0.35}, cpu_count=1)
-        status, message = check_scaling_gate(record, min_speedup=1.5)
+        status, message = check_scaling_gate(record)
         assert status == "skip"
         assert "1 core" in message
 
@@ -433,7 +433,7 @@ class TestScalingSummaryAndGate:
         from repro.bench.scaling import check_scaling_gate
 
         record = scaling_record({1: 0.4, 2: 0.3})
-        status, message = check_scaling_gate(record, min_speedup=1.5)
+        status, message = check_scaling_gate(record)
         assert status == "skip"
         assert "lacks" in message
 

@@ -591,3 +591,227 @@ class TestPwrelStages:
         assert "pwrel_inverse_seconds" in out.stage_stats
         assert "total_seconds" in out.stage_stats
         assert np.all(np.abs(out.data - data) <= 1e-3 * np.abs(data))
+
+
+def _hand_span(name, t0, t1, children=(), bytes_in=0, bytes_out=0):
+    span = telemetry.Span(name, bytes_in=bytes_in, bytes_out=bytes_out)
+    span.t_start, span.t_end = t0, t1
+    span.children.extend(children)
+    return span
+
+
+class TestSpanFold:
+    """The one fold every stage-time reader projects."""
+
+    def hand_tree(self):
+        # Timestamps are binary fractions, so every sum below is exact.
+        return _hand_span("root", 0.0, 10.0, bytes_in=100, children=[
+            _hand_span("a", 1.0, 4.0, bytes_in=10, bytes_out=20,
+                       children=[_hand_span("x", 1.5, 2.0, bytes_out=7)]),
+            _hand_span("a", 3.0, 6.0, bytes_in=5),        # overlaps the first a
+            _hand_span("b", 5.0, 9.0, children=[         # overlaps the second a
+                _hand_span("y", 6.0, 8.0),
+                _hand_span("y", 7.0, 8.5),               # overlaps its sibling
+            ]),
+        ])
+
+    def test_hand_built_tree_exact(self):
+        folded = telemetry.fold_spans(self.hand_tree())
+        got = {path: (s.wall, s.self, s.count, s.bytes) for path, s in folded.items()}
+        assert got == {
+            ("root",): (10.0, 2.0, 1, 100),               # 10 - |[1, 9]|
+            ("root", "a"): (5.0, 5.5, 2, 25),             # |[1, 6]|; (3 - .5) + 3
+            ("root", "a", "x"): (0.5, 0.5, 1, 7),
+            ("root", "b"): (4.0, 1.5, 1, 0),              # 4 - |[6, 8.5]|
+            ("root", "b", "y"): (2.5, 3.5, 2, 0),         # |[6, 8.5]|; 2 + 1.5
+        }
+        assert list(folded) == [("root",), ("root", "a"), ("root", "a", "x"),
+                                ("root", "b"), ("root", "b", "y")]
+
+    def test_projections_of_hand_built_tree(self):
+        from repro.bench.profiler import fold_trace
+        from repro.telemetry.instruments import stage_stats_from_span
+
+        root = self.hand_tree()
+        assert stage_stats_from_span(root) == {
+            "a_seconds": 5.0, "b_seconds": 4.0, "total_seconds": 10.0}
+        assert telemetry.span_self_times(root) == {
+            "root": 2.0, "a": 5.5, "x": 0.5, "b": 1.5, "y": 3.5}
+        view = fold_trace([root])
+        assert view.total_seconds == 10.0
+        assert {h.name: (h.count, h.self_seconds) for h in view.hotspots} == {
+            "root": (1, 2.0), "a": (2, 5.5), "x": (1, 0.5),
+            "b": (1, 1.5), "y": (2, 3.5)}
+        assert view.folded["root;b;y"] == 3.5e6
+
+    def test_fold_of_a_fold_and_of_nothing(self):
+        folded = telemetry.fold_spans(self.hand_tree())
+        assert telemetry.fold_spans(folded) is folded
+        with telemetry.scope(False):
+            null = telemetry.span("off")
+        for nothing in (None, null, "nope", []):
+            assert telemetry.fold_spans(nothing) == {}
+
+    def test_child_outliving_its_parent_is_clipped(self):
+        root = _hand_span("root", 0.0, 4.0, children=[_hand_span("late", 3.0, 6.0)])
+        folded = telemetry.fold_spans(root)
+        assert folded[("root",)].self == 3.0
+        assert folded[("root", "late")].wall == 3.0
+
+
+def _old_formulas(root):
+    """Every reader's per-span arithmetic as it stood before the fold."""
+    stats = {f"{c.name}_seconds": c.duration for c in root.children}
+    stats["total_seconds"] = root.duration
+    observed = [(c.duration, c.name) for c in root.children]
+    observed.append((root.duration, "total"))
+    self_times = {}
+    stack = [root]
+    while stack:
+        s = stack.pop()
+        own = s.duration
+        for c in s.children:
+            own -= c.duration
+        stack.extend(reversed(s.children))
+        self_times[s.name] = self_times.get(s.name, 0.0) + max(own, 0.0)
+    samples = {f"{root.name}_total": root.duration}
+    for c in root.children:
+        key = f"{root.name}.{c.name}"
+        samples[key] = samples.get(key, 0.0) + c.duration
+    hot, folded = {}, {}
+
+    def visit(span, path):
+        here = f"{path};{span.name}" if path else span.name
+        own = max(span.duration - sum(c.duration for c in span.children), 0.0)
+        n, total, self_s, moved = hot.get(span.name, (0, 0.0, 0.0, 0))
+        hot[span.name] = (n + 1, total + span.duration, self_s + own,
+                          moved + max(span.bytes_in, span.bytes_out))
+        folded[here] = folded.get(here, 0.0) + own * 1e6
+        for c in span.children:
+            visit(c, here)
+
+    visit(root, "")
+    stage_seconds = {}
+    for s in root.walk():
+        stage_seconds[s.name] = stage_seconds.get(s.name, 0.0) + s.duration
+    return stats, observed, self_times, samples, hot, folded, stage_seconds
+
+
+class TestFoldMatchesSerialFormulas:
+    """Where no spans overlap, every projection equals the old arithmetic."""
+
+    def roots(self, field_2d):
+        positive = np.abs(field_2d) + 1.0
+        with telemetry.trace() as tr:
+            res = repro.compress(field_2d, eb=1e-3)
+            repro.decompress_with_stats(res.archive)
+            pw = repro.compress(positive, eb=1e-3, mode="pwrel")
+            repro.decompress_with_stats(pw.archive)
+        assert [r.name for r in tr.roots] == [
+            "compress", "decompress", "compress_pwrel", "decompress_pwrel"]
+        return tr.roots
+
+    def test_every_projection_equals_the_old_formula(self, field_2d, monkeypatch):
+        from repro.bench.harness import Experiment
+        from repro.bench.profiler import fold_trace
+        from repro.bench.runner import _stage_samples
+        from repro.telemetry import instruments as ins
+
+        def close(value):  # equal up to the order of float additions
+            return pytest.approx(value, rel=1e-12, abs=1e-12)
+
+        class Recorder:
+            def observe(self, value, op, stage):
+                self.calls.append((value, stage))
+
+        roots = self.roots(field_2d)
+        recorder = Recorder()
+        monkeypatch.setattr(ins, "STAGE_SECONDS", recorder)
+        for root in roots:
+            stats, observed, self_times, samples, hot, folded, stage_seconds = (
+                _old_formulas(root))
+            fold = telemetry.fold_spans(root)
+            assert ins.stage_stats_from_span(fold) == stats
+            recorder.calls = []
+            ins.record_stage_metrics(fold, op="x")
+            assert recorder.calls == observed
+            assert telemetry.span_self_times(fold) == self_times
+            if root.name in ("compress", "decompress"):
+                assert _stage_samples(fold, root.name, blocked=False) == samples
+            view = fold_trace([root])
+            assert {h.name: (h.count, h.total_seconds, h.self_seconds, h.bytes_moved)
+                    for h in view.hotspots} == {
+                name: (n, close(total), close(self_s), moved)
+                for name, (n, total, self_s, moved) in hot.items()}
+            assert view.folded == {k: close(v) for k, v in folded.items()}
+            record = Experiment("unit", "", lambda: "")._build_record(0.0, [root])
+            assert record["stage_seconds"] == {
+                k: close(v) for k, v in stage_seconds.items()}
+            assert record["n_spans"] == sum(1 for _ in root.walk())
+
+
+class TestConcurrentBlocksCountOnce:
+    """Overlapping per-block spans count once in every stage wall."""
+
+    def test_serial_blocks_decompress_seconds_covers_every_block(self, field_2d):
+        from repro.core.streaming import compress_blocks, decompress_blocks_with_stats
+
+        blob = compress_blocks(field_2d, eb=1e-3, max_block_bytes=field_2d.nbytes // 4)
+        with telemetry.trace() as tr:
+            res = decompress_blocks_with_stats(blob)
+        blocks = [s for s in tr.spans() if s.name == "decompress"]
+        assert len(blocks) == 4
+        assert res.stage_stats["decompress_seconds"] == pytest.approx(
+            sum(s.duration for s in blocks), rel=1e-9)
+        assert res.stage_stats["decompress_seconds"] <= res.stage_stats["total_seconds"]
+
+    def test_bench_block_case_walls_stay_under_root(self):
+        from repro.bench.runner import run_case
+        from repro.bench.scenarios import BenchCase
+
+        case = BenchCase("ps_blocks_thread_j2", "CESM", "PS", 1e-3,
+                         jobs=2, block_bytes=1 << 18, backend="thread")
+        timing = run_case(case, repeats=1)["timing"]
+        assert "decompress.decode" in timing and "compress.encode" in timing
+        for op in ("compress", "decompress"):
+            root = timing[f"{op}_total"]["min"]
+            stages = {k: v["min"] for k, v in timing.items() if k.startswith(op + ".")}
+            assert stages
+            for key, wall in stages.items():
+                assert wall <= root, (key, wall, root)
+
+    def test_thread_engine_stage_walls_and_ledger_root_self(self, field_2d, tmp_path):
+        from repro.core.config import CompressorConfig
+        from repro.core.streaming import compress_blocks
+        from repro.engine.backends import get_executor
+        from repro.telemetry import instruments as ins
+        from repro.telemetry import ledger as lm
+
+        def sums():
+            return {(v["labels"]["op"], v["labels"]["stage"]): v["sum"]
+                    for v in ins.STAGE_SECONDS.to_json()["values"]}
+
+        path = tmp_path / "l.jsonl"
+        cfg = CompressorConfig(eb=1e-3, ledger=str(path))
+        field = np.tile(field_2d, (4, 1))
+        before = sums()
+        eng = get_executor("thread", jobs=2, config=cfg)
+        try:
+            blob = compress_blocks(field, cfg, max_block_bytes=field.nbytes // 8,
+                                   backend=eng)
+            res = repro.decompress_with_stats(blob, backend=eng)
+        finally:
+            eng.shutdown(wait=True)
+        after = sums()
+        stage_keys = [k for k in res.stage_stats if k.endswith("_seconds")]
+        assert "decompress_seconds" in stage_keys
+        for key in stage_keys:
+            assert res.stage_stats[key] <= res.stage_stats["total_seconds"], key
+        delta = {k: v - before.get(k, 0.0) for k, v in after.items()}
+        for (op, stage), seconds in delta.items():
+            if stage != "total" and seconds:
+                assert seconds <= delta[(op, "total")] + 1e-9, (op, stage)
+        batch = [r for r in lm.read_ledger(path) if r["op"] == "engine_batch"]
+        assert len(batch) == 1
+        assert batch[0]["stages"]["compress_blocks"] > 0.0
+        lm.reset_ledgers()
